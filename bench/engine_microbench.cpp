@@ -5,7 +5,8 @@
 //
 // Besides the google-benchmark tables, the binary always writes
 // BENCH_engine_microbench.json with hand-timed headline numbers (events/s,
-// cache refs/s) so CI can track the perf trajectory across PRs.
+// cache refs/s for the batched and the CacheUnfriendly Convolve replays)
+// so CI can track the perf trajectory across PRs.
 //
 // Usage: engine_microbench [--quick] [gbench flags...]
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "smilab/apps/convolve/access_stream.h"
 #include "smilab/apps/nas/nas.h"
 #include "smilab/cache/cache.h"
 #include "smilab/mpi/collectives.h"
@@ -303,6 +305,18 @@ double measure_cache_refs_per_s(std::int64_t refs) {
   return static_cast<double>(refs) / s;
 }
 
+/// Cache-model references/second for the CacheUnfriendly Convolve replay:
+/// scattered pixels, so nearly every reference walks the sets of every
+/// level (the shape batching cannot collapse).
+double measure_cache_cu_refs_per_s(std::int64_t refs) {
+  CacheMeasurement m;
+  const double s = wall_seconds([&] {
+    m = measure_convolve_cache(ConvolveConfig::cache_unfriendly(),
+                               CacheHierarchy::e5620(), refs);
+  });
+  return static_cast<double>(m.stats.accesses) / s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,6 +361,8 @@ int main(int argc, char** argv) {
   json.set("event_steady_state_per_s",
            measure_steady_state_throughput(400'000LL * scale));
   json.set("cache_refs_per_s", measure_cache_refs_per_s(4'000'000LL * scale));
+  json.set("cache_cu_refs_per_s",
+           measure_cache_cu_refs_per_s(2'000'000LL * scale));
 
   // Heap-vs-ladder A/B at three live-set sizes. The ladder floors are the
   // CI trajectory gates (set ~4x under local Release so only a real

@@ -1,10 +1,14 @@
 #include "smilab/apps/nas/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <exception>
+#include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <tuple>
 
 #include "smilab/core/sweep.h"
@@ -73,10 +77,10 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
   const auto runtime = [&](NasKnob knob) {
     return simulate_nas_once(spec, knob, SmiConfig::none(), 1, 0.0);
   };
-  const auto pad_residual = [&](NasKnob knob, double target) {
+  // `t` is runtime(knob), already measured by the caller.
+  const auto pad_residual = [&](NasKnob knob, double t, double target) {
     // The pad enters the runtime additively (one pad per iteration on the
     // critical path), so one probe pins it down exactly.
-    const double t = runtime(knob);
     const double per_iter = (target - t) / niter;
     knob.iter_pad_ns = static_cast<std::int64_t>(per_iter * 1e9);
     // Never drive the per-iteration compute negative.
@@ -89,7 +93,7 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
   if (spec.bench == NasBenchmark::kEP) {
     NasKnob knob;
     if (!paper) return knob;
-    return pad_residual(knob, *paper);
+    return pad_residual(knob, runtime(knob), *paper);
   }
 
   if (!paper) {
@@ -98,14 +102,16 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
   }
 
   const double target = *paper;
-  if (target <= compute) return pad_residual(NasKnob{1, 0}, target);
+  if (target <= compute) {
+    return pad_residual(NasKnob{1, 0}, runtime(NasKnob{1, 0}), target);
+  }
 
   // runtime(bytes) is monotone in bytes (more wire + copy work) but not
   // smooth (NIC queueing, rendezvous threshold), so bracket, bisect in log
   // space, then absorb the residual into the compute pad.
   std::int64_t lo = 1;
   double t_lo = runtime(NasKnob{lo, 0});
-  if (t_lo >= target) return pad_residual(NasKnob{lo, 0}, target);
+  if (t_lo >= target) return pad_residual(NasKnob{lo, 0}, t_lo, target);
   std::int64_t hi =
       std::max<std::int64_t>(4096, physical_exchange_bytes(spec) / 4);
   double t_hi = runtime(NasKnob{hi, 0});
@@ -121,7 +127,7 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
     if (mid <= lo || mid >= hi) break;
     const double t_mid = runtime(NasKnob{mid, 0});
     if (std::abs(t_mid - target) <= 0.002 * target) {
-      return pad_residual(NasKnob{mid, 0}, target);
+      return pad_residual(NasKnob{mid, 0}, t_mid, target);
     }
     if (t_mid < target) {
       lo = mid;
@@ -132,30 +138,51 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
     }
   }
   // Prefer the under-shooting end so the pad stays non-negative.
-  return pad_residual(NasKnob{lo, 0}, target);
+  return pad_residual(NasKnob{lo, 0}, t_lo, target);
 }
+
+std::atomic<std::uint64_t> g_calibrations_computed{0};
 
 }  // namespace
 
 NasKnob calibrate_nas_knob(const NasJobSpec& spec) {
   using Key = std::tuple<int, int, int, int>;
-  // The memo is shared across concurrently swept cells; calibration itself
-  // runs outside the lock (it is a pure function of the spec, so a rare
-  // duplicate computation by two first-comers yields the same knob).
+  // The memo is shared across concurrently swept cells and serve workers.
+  // The first caller for a cell installs a future and calibrates outside
+  // the lock; later callers wait on that future, so each cell is computed
+  // once per process. A failed calibration reaches every waiter and leaves
+  // no entry, so a later caller computes it afresh.
   static std::mutex mu;
-  static std::map<Key, NasKnob> cache;
+  static std::map<Key, std::shared_future<NasKnob>> memo;
   const Key key{static_cast<int>(spec.bench), static_cast<int>(spec.cls),
                 spec.nodes, spec.ranks_per_node};
+  std::shared_future<NasKnob> knob;
+  std::optional<std::promise<NasKnob>> fill;  // set for the first caller
   {
     const std::lock_guard<std::mutex> lock{mu};
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+    auto [it, inserted] = memo.try_emplace(key);
+    if (inserted) it->second = fill.emplace().get_future().share();
+    knob = it->second;
   }
-  NasJobSpec base = spec;
-  base.htt = false;  // HTT does not change the no-SMI runtime
-  const NasKnob knob = calibrate_uncached(base);
-  const std::lock_guard<std::mutex> lock{mu};
-  return cache.emplace(key, knob).first->second;
+  if (fill) {
+    NasJobSpec base = spec;
+    base.htt = false;  // HTT does not change the no-SMI runtime
+    try {
+      fill->set_value(calibrate_uncached(base));
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock{mu};
+        memo.erase(key);
+      }
+      fill->set_exception(std::current_exception());
+    }
+    ++g_calibrations_computed;
+  }
+  return knob.get();
+}
+
+std::uint64_t nas_calibrations_computed() {
+  return g_calibrations_computed.load();
 }
 
 NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options) {

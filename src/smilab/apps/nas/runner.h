@@ -56,19 +56,27 @@ struct NasCellResult {
   }
 };
 
-/// Simulate one run of a cell under the given calibrated knobs.
+/// Simulate one run of a cell under the given calibrated knobs. Streams
+/// the rank programs by default, like every other NAS path; kRetained
+/// gives the same result (the streaming equality suite pins it).
 double simulate_nas_once(const NasJobSpec& spec, const NasKnob& knob,
                          const SmiConfig& smi, std::uint64_t seed,
                          double node_speed_sigma,
-                         TraceMode mode = TraceMode::kRetained);
+                         TraceMode mode = TraceMode::kStreaming);
 
 /// Fit the knobs so the simulated no-SMI runtime matches the paper baseline
 /// (to ~0.1%): bracketed bisection on the exchange size, then a per-
-/// iteration compute pad for the residual. Results are memoized per cell;
-/// HTT state does not affect the no-SMI runtime, so both HTT variants share
-/// a calibration. Cells the paper does not report use the model's own
-/// analytic baseline (compute split plus physical network volume).
+/// iteration compute pad for the residual. Results are memoized per cell
+/// and single-flight: concurrent first callers for one cell wait for a
+/// single calibration. HTT state does not affect the no-SMI runtime, so
+/// both HTT variants share a calibration. Cells the paper does not report
+/// use the model's own analytic baseline (compute split plus physical
+/// network volume).
 NasKnob calibrate_nas_knob(const NasJobSpec& spec);
+
+/// Calibrations calibrate_nas_knob has computed in this process (first
+/// callers for a cell, not memo lookups).
+std::uint64_t nas_calibrations_computed();
 
 /// Calibrate and measure a cell under SMM 0/1/2.
 NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options);

@@ -1,7 +1,6 @@
 #include "smilab/cache/cache.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <stdexcept>
 
@@ -9,9 +8,11 @@ namespace smilab {
 
 std::string CacheConfig::validation_error() const {
   char buf[160];
-  if (line_bytes <= 0 || (line_bytes & (line_bytes - 1)) != 0) {
+  // At least 2 bytes, so a stored line id (line + 1) never wraps to the
+  // empty marker.
+  if (line_bytes < 2 || (line_bytes & (line_bytes - 1)) != 0) {
     std::snprintf(buf, sizeof buf,
-                  "CacheConfig: line_bytes must be a positive power of two, got %d",
+                  "CacheConfig: line_bytes must be a power of two >= 2, got %d",
                   line_bytes);
     return buf;
   }
@@ -43,94 +44,44 @@ int log2_exact(int v) {
 
 }  // namespace
 
-SetAssocCache::SetAssocCache(CacheConfig config)
-    : config_(config), set_count_(0), line_shift_(0) {
+SetAssocCache::SetAssocCache(CacheConfig config) : config_(config) {
   if (const std::string error = config.validation_error(); !error.empty()) {
     throw std::invalid_argument(error);
   }
   set_count_ = config.sets();
+  set_mask_ = set_count_ - 1;
+  pow2_sets_ = (set_count_ & set_mask_) == 0;
   line_shift_ = log2_exact(config.line_bytes);
-  ways_.resize(set_count_ * static_cast<std::size_t>(config.associativity));
-}
-
-void SetAssocCache::set_fast_path(bool enabled) {
-  fast_path_ = enabled;
-  last_line_ = ~0ull;
-  last_way_ = nullptr;
+  assoc_ = static_cast<std::size_t>(config.associativity);
+  lines_.assign(set_count_ * assoc_, 0);
 }
 
 bool SetAssocCache::access(std::uint64_t addr) {
   ++accesses_;
-  ++clock_;
-  const std::uint64_t line = line_of(addr);
-  if (line == last_line_ && last_way_ != nullptr) {
-    last_way_->lru = clock_;
-    return true;
+  const std::uint64_t line = addr >> line_shift_;
+  const std::uint64_t id = line + 1;
+  std::uint64_t* set = &lines_[set_base(line)];
+  if (set[0] == id) return true;  // already most recent: order unchanged
+  std::size_t w = 1;
+  while (w < assoc_ && set[w] != id) ++w;
+  const bool hit = w < assoc_;
+  if (!hit) {
+    // Evict the last way: the LRU line, or an empty way if any remain.
+    ++misses_;
+    w = assoc_ - 1;
   }
-  return access_slow(line);
-}
-
-bool SetAssocCache::access_slow(std::uint64_t line) {
-  const std::size_t set = static_cast<std::size_t>(line % set_count_);
-  const std::uint64_t tag = line / set_count_;
-  Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-
-  Way* victim = base;
-  for (int w = 0; w < config_.associativity; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = clock_;
-      if (fast_path_) {
-        last_line_ = line;
-        last_way_ = &way;
-      }
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;  // prefer an invalid way
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  ++misses_;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = clock_;
-  if (fast_path_) {
-    // The install may have evicted the memoised line's way; pointing the
-    // memo at the just-installed line keeps it trivially valid.
-    last_line_ = line;
-    last_way_ = victim;
-  }
-  return false;
-}
-
-SetAssocCache::Way* SetAssocCache::find_resident(std::uint64_t line) {
-  const std::size_t set = static_cast<std::size_t>(line % set_count_);
-  const std::uint64_t tag = line / set_count_;
-  Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-  for (int w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return &base[w];
-  }
-  return nullptr;
+  for (; w > 0; --w) set[w] = set[w - 1];
+  set[0] = id;
+  return hit;
 }
 
 bool SetAssocCache::contains(std::uint64_t addr) const {
-  const std::uint64_t line = line_of(addr);
-  const std::size_t set = static_cast<std::size_t>(line % set_count_);
-  const std::uint64_t tag = line / set_count_;
-  const Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-  for (int w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t line = addr >> line_shift_;
+  const std::uint64_t* set = &lines_[set_base(line)];
+  return std::find(set, set + assoc_, line + 1) != set + assoc_;
 }
 
-void SetAssocCache::flush() {
-  for (auto& way : ways_) way.valid = false;
-  last_line_ = ~0ull;
-  last_way_ = nullptr;
-}
+void SetAssocCache::flush() { std::fill(lines_.begin(), lines_.end(), 0); }
 
 std::string HierarchyStats::summary() const {
   char buf[256];
@@ -178,20 +129,20 @@ void CacheHierarchy::access_run(std::uint64_t addr, std::int64_t count,
                                 std::uint64_t stride) {
   const auto line_bytes =
       static_cast<std::uint64_t>(l1_.config().line_bytes);
-  if (stride == 0 || stride >= line_bytes || !l1_.fast_path_enabled()) {
+  if (stride == 0 || stride >= line_bytes) {
     for (std::int64_t i = 0; i < count; ++i, addr += stride) access(addr);
     return;
   }
   std::int64_t i = 0;
   while (i < count) {
     access(addr);  // full walk: installs the line at every level if needed
-    // Accesses i+1..i+k stay on this L1 line: guaranteed L1 hits on the
-    // memoised way, so they collapse to counter updates.
+    // Accesses i+1..i+k stay on this L1 line, now the most recent in its
+    // set: guaranteed L1 hits that leave the order unchanged.
     const std::uint64_t to_boundary = line_bytes - (addr & (line_bytes - 1));
     std::uint64_t k = (to_boundary - 1) / stride;
     k = std::min<std::uint64_t>(k, static_cast<std::uint64_t>(count - i - 1));
     if (k > 0) {
-      l1_.touch_last(k);
+      l1_.count_hits(k);
       stats_.accesses += k;
       stats_.l1_hits += k;
     }
@@ -205,9 +156,8 @@ void CacheHierarchy::access_interleaved(std::uint64_t a, std::uint64_t stride_a,
                                         std::int64_t pairs) {
   const auto line_bytes =
       static_cast<std::uint64_t>(l1_.config().line_bytes);
-  const bool batchable = l1_.fast_path_enabled() && stride_a > 0 &&
-                         stride_a < line_bytes && stride_b > 0 &&
-                         stride_b < line_bytes;
+  const bool batchable = stride_a > 0 && stride_a < line_bytes &&
+                         stride_b > 0 && stride_b < line_bytes;
   std::int64_t i = 0;
   while (i < pairs) {
     access(a);
@@ -218,20 +168,19 @@ void CacheHierarchy::access_interleaved(std::uint64_t a, std::uint64_t stride_a,
       b += stride_b;
       continue;
     }
-    // Pairs i..i+k-1 keep both streams on their current lines. b is
-    // resident (just accessed); a may have been evicted by b's install if
-    // they conflict in a set — then batching is off for this stretch.
+    // Pairs i..i+k-1 keep both streams on their current lines. b is the
+    // most recent line of its set and a, if still resident, the most recent
+    // of the others, so repeating the pair hits twice and leaves the order
+    // as it is. a is gone only when b's install evicted it (a direct-mapped
+    // conflict); then this stretch replays pair by pair.
     const std::uint64_t ka = (line_bytes - (a & (line_bytes - 1)) - 1) / stride_a;
     const std::uint64_t kb = (line_bytes - (b & (line_bytes - 1)) - 1) / stride_b;
     std::uint64_t k = std::min(ka, kb);
     k = std::min<std::uint64_t>(k, static_cast<std::uint64_t>(pairs - i));
     a += stride_a;
     b += stride_b;
-    if (k == 0) continue;
-    SetAssocCache::Way* way_a = l1_.find_resident(l1_.line_of(a));
-    SetAssocCache::Way* way_b = l1_.find_resident(l1_.line_of(b));
-    if (way_a == nullptr || way_b == nullptr || way_a == way_b) continue;
-    l1_.touch_pair(*way_a, *way_b, l1_.line_of(b), k);
+    if (k == 0 || !l1_.contains(a)) continue;
+    l1_.count_hits(2 * k);
     stats_.accesses += 2 * k;
     stats_.l1_hits += 2 * k;
     i += static_cast<std::int64_t>(k);
@@ -244,12 +193,6 @@ void CacheHierarchy::flush() {
   l1_.flush();
   l2_.flush();
   l3_.flush();
-}
-
-void CacheHierarchy::set_fast_path(bool enabled) {
-  l1_.set_fast_path(enabled);
-  l2_.set_fast_path(enabled);
-  l3_.set_fast_path(enabled);
 }
 
 double CacheHierarchy::average_latency_cycles(double l1_cy, double l2_cy,

@@ -6,13 +6,12 @@
 // model (see apps/convolve). The same model also sizes the post-SMM refill
 // penalty inputs.
 //
-// Hot-path design (DESIGN.md §8): each level memoises the last-accessed
-// line and its way, so consecutive same-line references — the dominant case
-// for unit-stride replay — skip the set walk entirely, and the hierarchy
-// exposes batched replay entry points (access_run / access_interleaved)
-// that collapse whole same-line runs into counter updates. Both are
-// bit-identical to the scalar path: stats, LRU stamps, and residency evolve
-// exactly as if access() had been called per reference.
+// Hot-path design (DESIGN.md §8): each set stores its resident line ids in
+// recency order, so true LRU needs no stamps, and the hierarchy exposes
+// batched replay entry points (access_run / access_interleaved) that
+// collapse whole same-line runs into counter updates. Both are
+// bit-identical to a stamped true-LRU model fed one access() per
+// reference; tests/cache_oracle_test.cpp keeps that model as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +54,6 @@ class SetAssocCache {
   /// Drop every line (what SMM entry/exit effectively does to hot state).
   void flush();
 
-  /// Debug knob: disable the last-line memo so tests can prove the fast
-  /// path changes nothing observable.
-  void set_fast_path(bool enabled);
-  [[nodiscard]] bool fast_path_enabled() const { return fast_path_; }
-
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
@@ -75,56 +69,29 @@ class SetAssocCache {
  private:
   friend class CacheHierarchy;
 
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use stamp
-    bool valid = false;
-  };
-
-  [[nodiscard]] std::uint64_t line_of(std::uint64_t addr) const {
-    return addr >> line_shift_;
+  /// Index in lines_ of the first way of the set `line` maps to.
+  [[nodiscard]] std::size_t set_base(std::uint64_t line) const {
+    const std::uint64_t set = pow2_sets_ ? (line & set_mask_) : (line % set_count_);
+    return static_cast<std::size_t>(set) * assoc_;
   }
 
-  bool access_slow(std::uint64_t line);
-
-  /// Resident way for `line`, or nullptr; no stats or LRU side effects.
-  [[nodiscard]] Way* find_resident(std::uint64_t line);
-
-  /// Count `n` further hits on the line of the immediately preceding
-  /// access without re-walking the set. Caller (CacheHierarchy batching)
-  /// guarantees the previous access touched that line and it is resident;
-  /// final accesses/clock/LRU state is bit-identical to n scalar hits.
-  void touch_last(std::uint64_t n) {
-    accesses_ += n;
-    clock_ += n;
-    last_way_->lru = clock_;
-  }
-
-  /// Count `pairs` alternating hits on two resident lines (a before b per
-  /// pair), leaving b as the most recent. Bit-identical to the scalar
-  /// interleaving: a's final stamp is clock-1, b's is clock.
-  void touch_pair(Way& a, Way& b, std::uint64_t line_b, std::uint64_t pairs) {
-    accesses_ += 2 * pairs;
-    clock_ += 2 * pairs;
-    a.lru = clock_ - 1;
-    b.lru = clock_;
-    last_line_ = line_b;
-    last_way_ = &b;
-  }
+  /// Count `n` further hits that leave every set's recency order as it is
+  /// (repeats of the most recent references). The caller (CacheHierarchy
+  /// batching) guarantees the lines are resident.
+  void count_hits(std::uint64_t n) { accesses_ += n; }
 
   CacheConfig config_;
-  std::size_t set_count_;
-  int line_shift_;
-  std::vector<Way> ways_;  // set-major: ways_[set * assoc + way]
+  std::size_t set_count_ = 0;
+  std::uint64_t set_mask_ = 0;  // set_count_ - 1; used when pow2_sets_
+  bool pow2_sets_ = false;
+  int line_shift_ = 0;
+  std::size_t assoc_ = 0;
+  // Set-major, assoc_ entries per set: resident line ids as `line + 1`
+  // (0 = empty), most recent first, empty ways trailing. The last entry is
+  // the LRU victim, or an empty way while the set is not yet full.
+  std::vector<std::uint64_t> lines_;
   std::uint64_t accesses_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t clock_ = 0;
-  // Last-line memo: the way holding the most recently accessed line. Only
-  // access() installs/evicts lines, so the memo stays valid until the next
-  // flush or differently-lined access.
-  std::uint64_t last_line_ = ~0ull;
-  Way* last_way_ = nullptr;
-  bool fast_path_ = true;
 };
 
 /// Per-level hit statistics for a full hierarchy walk.
@@ -182,10 +149,6 @@ class CacheHierarchy {
 
   /// Flush all levels (SMM entry/exit effect).
   void flush();
-
-  /// Debug knob: toggles the per-level last-line memo (tests prove stats
-  /// equality with and without it).
-  void set_fast_path(bool enabled);
 
   [[nodiscard]] const HierarchyStats& stats() const { return stats_; }
   void reset_stats() { stats_ = HierarchyStats{}; }

@@ -99,6 +99,15 @@ TEST(CacheConfigTest, RejectsNonPowerOfTwoLineSize) {
   EXPECT_THROW(SetAssocCache{bad}, std::invalid_argument);
 }
 
+TEST(CacheConfigTest, RejectsOneByteLines) {
+  // Line ids are stored as line + 1 with 0 for an empty way; with 1-byte
+  // lines the top address's id would wrap to the empty marker.
+  const CacheConfig bad{.size_bytes = 1024, .line_bytes = 1,
+                        .associativity = 2};
+  EXPECT_NE(bad.validation_error().find("line_bytes"), std::string::npos);
+  EXPECT_THROW(SetAssocCache{bad}, std::invalid_argument);
+}
+
 TEST(CacheConfigTest, RejectsSizeNotDivisibleByLineTimesAssoc) {
   // 1000 bytes is not a whole number of 2-way 64B sets.
   const CacheConfig bad{.size_bytes = 1000, .line_bytes = 64,
@@ -161,59 +170,6 @@ TEST(CacheHierarchyTest, AverageLatencyWeightsLevels) {
   h.access(0x40);  // L1
   // avg of {180, 1} = 90.5
   EXPECT_NEAR(h.average_latency_cycles(1, 10, 40, 180), 90.5, 1e-9);
-}
-
-// Deterministic xorshift address stream mixing tight line reuse (fast-path
-// friendly), strided walks, and random far jumps (set conflicts, evictions).
-template <typename Fn>
-void replay_mixed_stream(Fn&& touch) {
-  std::uint64_t state = 0x2545f4914f6cdd1dull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  std::uint64_t addr = 0;
-  for (int i = 0; i < 200'000; ++i) {
-    const std::uint64_t r = next();
-    if (r % 8 < 5) {
-      addr += r % 32;                 // stay on/near the current line
-    } else if (r % 8 < 7) {
-      addr += 64 + r % 192;           // short stride to a nearby line
-    } else {
-      addr = r % (8ull << 20);        // far jump inside an 8 MB footprint
-    }
-    touch(addr);
-  }
-}
-
-TEST(CacheHierarchyTest, FastPathStatsIdenticalToSlowPath) {
-  CacheHierarchy fast = CacheHierarchy::e5620();
-  CacheHierarchy slow = CacheHierarchy::e5620();
-  slow.set_fast_path(false);
-  replay_mixed_stream([&](std::uint64_t a) {
-    EXPECT_EQ(fast.access(a), slow.access(a));
-  });
-  EXPECT_EQ(fast.stats(), slow.stats());
-  // And the resident state agrees, not just the counters: replaying a probe
-  // sweep through both must classify every probe identically.
-  for (std::uint64_t a = 0; a < (8ull << 20); a += 64 * 1024 + 64) {
-    EXPECT_EQ(fast.access(a), slow.access(a));
-  }
-}
-
-TEST(CacheHierarchyTest, FastPathConvolveStatsIdentical) {
-  CacheHierarchy fast = CacheHierarchy::e5620();
-  CacheHierarchy slow = CacheHierarchy::e5620();
-  slow.set_fast_path(false);
-  const CacheMeasurement a = measure_convolve_cache(
-      ConvolveConfig::cache_unfriendly(), std::move(fast), 500'000);
-  const CacheMeasurement b = measure_convolve_cache(
-      ConvolveConfig::cache_unfriendly(), std::move(slow), 500'000);
-  EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.l1_miss_rate, b.l1_miss_rate);
-  EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
 }
 
 TEST(CacheHierarchyTest, AccessRunMatchesScalarLoop) {
@@ -280,6 +236,33 @@ TEST(ConvolveCacheMeasurementTest, GoldenPinCacheUnfriendly) {
   EXPECT_EQ(m.stats.memory_accesses, 919'239u);
   EXPECT_EQ(m.l1_miss_rate, 0.52612229102167185);
   EXPECT_EQ(m.avg_latency_cycles, 85.822789917680652);
+}
+
+// The production-size replays: the default 20M references are the memo
+// every Convolve simulation reads (apps/convolve/workload.cpp). Pinned from
+// the stamped-way model the recency-ordered sets replaced.
+TEST(ConvolveCacheMeasurementTest, GoldenPinCacheFriendlyDefaultRefs) {
+  const CacheMeasurement m = measure_convolve_cache(
+      ConvolveConfig::cache_friendly(), CacheHierarchy::e5620());
+  EXPECT_EQ(m.stats.accesses, 20'003'746u);
+  EXPECT_EQ(m.stats.l1_hits, 20'000'454u);
+  EXPECT_EQ(m.stats.l2_hits, 1'195u);
+  EXPECT_EQ(m.stats.l3_hits, 0u);
+  EXPECT_EQ(m.stats.memory_accesses, 2'097u);
+  EXPECT_EQ(m.l1_miss_rate, 0.00016456917619329901);
+  EXPECT_EQ(m.avg_latency_cycles, 1.019302284682079);
+}
+
+TEST(ConvolveCacheMeasurementTest, GoldenPinCacheUnfriendlyDefaultRefs) {
+  const CacheMeasurement m = measure_convolve_cache(
+      ConvolveConfig::cache_unfriendly(), CacheHierarchy::e5620());
+  EXPECT_EQ(m.stats.accesses, 20'000'010u);
+  EXPECT_EQ(m.stats.l1_hits, 9'477'524u);
+  EXPECT_EQ(m.stats.l2_hits, 27'207u);
+  EXPECT_EQ(m.stats.l3_hits, 1'429'116u);
+  EXPECT_EQ(m.stats.memory_accesses, 9'066'163u);
+  EXPECT_EQ(m.l1_miss_rate, 0.52612403693798149);
+  EXPECT_EQ(m.avg_latency_cycles, 84.941136229431891);
 }
 
 TEST(ConvolveCacheMeasurementTest, CacheFriendlyIsLowMiss) {

@@ -3,7 +3,11 @@
 // qualitative SMI response the paper reports.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <latch>
+#include <thread>
 #include <variant>
+#include <vector>
 
 #include "smilab/apps/nas/nas.h"
 #include "smilab/apps/nas/runner.h"
@@ -165,6 +169,35 @@ TEST(NasCalibrationTest, EpPadReproducesBaseline) {
   const NasKnob knob = calibrate_nas_knob(spec);
   const double t = simulate_nas_once(spec, knob, SmiConfig::none(), 1, 0.0);
   EXPECT_NEAR(t, 1.46, 0.02);
+}
+
+TEST(NasCalibrationTest, ConcurrentFirstCallersCalibrateOnce) {
+  // A cell no other test calibrates, so its memo entry is absent even when
+  // several suites share one process. Four threads (both HTT variants,
+  // which share a calibration) ask for it at once: one computes, three
+  // wait for its knob.
+  const NasJobSpec spec{NasBenchmark::kFT, NasClass::kA, 8, 1};
+  const std::uint64_t before = nas_calibrations_computed();
+  std::latch start{4};
+  std::vector<NasKnob> knobs(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      NasJobSpec cell = spec;
+      cell.htt = t % 2 == 1;
+      start.arrive_and_wait();
+      knobs[static_cast<std::size_t>(t)] = calibrate_nas_knob(cell);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(nas_calibrations_computed(), before + 1);
+  for (const NasKnob& knob : knobs) {
+    EXPECT_EQ(knob.exchange_bytes, knobs[0].exchange_bytes);
+    EXPECT_EQ(knob.iter_pad_ns, knobs[0].iter_pad_ns);
+  }
+  // A later request is a memo hit.
+  (void)calibrate_nas_knob(spec);
+  EXPECT_EQ(nas_calibrations_computed(), before + 1);
 }
 
 TEST(NasSmiResponseTest, LongSmiSingleRankNearDutyCycle) {
