@@ -19,11 +19,9 @@
 //                       armed event per server direction).
 //
 // The storm and burst shapes are also measured with the transport fast
-// paths disabled (System::set_transport_fast_paths(false)) and with the
-// engine's same-instant lane disabled (Engine::set_same_instant_lane), so
-// the JSON artifact records the pipelined-vs-classic and lane-vs-heap
-// deltas on the same machine; the fast-path golden tests and the lane
-// equality suite prove each pair produces bit-identical simulations.
+// paths disabled (System::set_transport_fast_paths(false)), so the JSON
+// artifact records the pipelined-vs-classic delta on the same machine; the
+// fast-path golden tests prove both produce bit-identical simulations.
 //
 // A small grid re-profile rides along: a sweep of independent storm cells
 // timed at --jobs=1 and at hardware concurrency, recording cells/s for both
@@ -125,13 +123,11 @@ Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
 /// Nonblocking rendezvous ring: every rank isends `burst` rendezvous-sized
 /// messages to its successor and irecvs as many from its predecessor, then
 /// waits on everything — keeping burst*p completion acks in flight.
-Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths,
-                       bool lane = true) {
+Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(ranks)};
   sys.set_transport_fast_paths(fast_paths);
-  sys.engine().set_same_instant_lane(lane);
   auto programs = make_rank_programs(ranks);
   std::int64_t messages = 0;
   for (int round = 0; round < rounds; ++round) {
@@ -162,13 +158,11 @@ Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths,
 /// pipeline), then waits for the receiver's short done message before the
 /// next round — so the in-flight window stays one burst deep and the
 /// measurement tracks per-burst booking cost rather than backlog memory.
-Rate measure_egress_burst(int burst, int rounds, bool fast_paths,
-                          bool lane = true) {
+Rate measure_egress_burst(int burst, int rounds, bool fast_paths) {
   ActionArena arena;
   ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
   sys.set_transport_fast_paths(fast_paths);
-  sys.engine().set_same_instant_lane(lane);
   auto programs = make_rank_programs(2);
   const int done_tag = 1 << 20;
   for (int round = 0; round < rounds; ++round) {
@@ -282,17 +276,6 @@ int main(int argc, char** argv) {
   std::printf("  (classic transport: storm %.0f, burst %.0f msgs/s)\n",
               storm_classic.msgs_per_s, burst_classic.msgs_per_s);
 
-  // Same-instant-lane reference points: the same two dispatch-heavy shapes
-  // with the engine's now-lane disabled (every wakeup sifts the heap). The
-  // lane equality tests pin both orderings bit-identical.
-  const Rate storm_nolane = best_of(
-      reps, [&] { return measure_ack_storm(8, 48, 2 * scale, fast, false); });
-  const Rate burst_nolane = best_of(reps, [&] {
-    return measure_egress_burst(64, 300 * scale, fast, false);
-  });
-  std::printf("  (lane off:          storm %.0f, burst %.0f msgs/s)\n",
-              storm_nolane.msgs_per_s, burst_nolane.msgs_per_s);
-
   // Grid-level parallel speedup: independent cells across sweep workers.
   const int grid_cells = quick ? 8 : 24;
   const int grid_rounds = 4 * scale;
@@ -313,8 +296,6 @@ int main(int argc, char** argv) {
   json.set("egress_burst_msgs_per_s", burst.msgs_per_s);
   json.set("ack_storm_classic_msgs_per_s", storm_classic.msgs_per_s);
   json.set("egress_burst_classic_msgs_per_s", burst_classic.msgs_per_s);
-  json.set("ack_storm_lane_off_msgs_per_s", storm_nolane.msgs_per_s);
-  json.set("egress_burst_lane_off_msgs_per_s", burst_nolane.msgs_per_s);
   json.set("grid_cells_per_s_jobs1", grid_j1);
   json.set("grid_cells_per_s_jobsN", grid_jn);
   json.set("grid_jobs_n", grid_jobs);

@@ -86,12 +86,12 @@ void BM_EngineSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSteadyState);
 
-// Heap-vs-ladder A/B over a schedule/drain/cancel mix at a fixed live-set
-// size: every firing reschedules itself (drain+schedule), and every fourth
-// firing also schedules-then-cancels a decoy (the tombstone path). The
-// live-set sizes bracket the regimes that matter: 1k (everything cache
-// resident either way), 100k (heap levels spill L2), 1M (pointer-chase
-// territory, where the ladder's bucket locality pays).
+// Schedule/drain/cancel mix at a fixed live-set size: every firing
+// reschedules itself (drain+schedule), and every fourth firing also
+// schedules-then-cancels a decoy (the tombstone path). The live-set sizes
+// bracket the regimes that matter: 1k (everything cache resident), 100k
+// (overflow-heap levels spill L2), 1M (pointer-chase territory, where the
+// ladder's bucket locality pays).
 //
 // Reschedule deltas spread over [1, 1 ms) — the simulator's actual event
 // horizon (compute steps are hundreds of µs, network hops µs). Packing
@@ -100,13 +100,11 @@ BENCHMARK(BM_EngineSteadyState);
 // worst case, a shape no sim workload produces.
 inline constexpr std::uint32_t kMixSpanNs = 1'000'000;
 
-template <Engine::Scheduler S>
 void BM_EngineMix(benchmark::State& state) {
   const auto live = static_cast<int>(state.range(0));
   const std::int64_t quota = live * 4;
   for (auto _ : state) {
     Engine engine;
-    engine.set_scheduler(S);
     std::int64_t fired = 0;
     EventId decoy{};
     std::function<void(int)> arm = [&](int lane) {
@@ -126,12 +124,9 @@ void BM_EngineMix(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * quota);
 }
-BENCHMARK(BM_EngineMix<Engine::Scheduler::kLadder>)
+BENCHMARK(BM_EngineMix)
     ->Arg(1 << 10)->Arg(100'000)->Arg(1 << 20)
     ->Name("BM_EngineMixLadder");
-BENCHMARK(BM_EngineMix<Engine::Scheduler::kHeap>)
-    ->Arg(1 << 10)->Arg(100'000)->Arg(1 << 20)
-    ->Name("BM_EngineMixHeap");
 
 void BM_CacheHierarchyAccess(benchmark::State& state) {
   CacheHierarchy hierarchy = CacheHierarchy::e5620();
@@ -270,13 +265,11 @@ double measure_steady_state_throughput(std::int64_t quota) {
 }
 
 /// Events/second through the schedule/drain/cancel mix of BM_EngineMix at
-/// a fixed live-set size, under the given scheduler.
-double measure_mix_throughput(Engine::Scheduler sched, int live,
-                              std::int64_t quota) {
+/// a fixed live-set size.
+double measure_mix_throughput(int live, std::int64_t quota) {
   std::int64_t fired = 0;
   const double s = wall_seconds([&] {
     Engine engine;
-    engine.set_scheduler(sched);
     EventId decoy{};
     std::function<void(int)> arm = [&](int lane) {
       if (++fired >= quota) return;
@@ -364,10 +357,9 @@ int main(int argc, char** argv) {
   json.set("cache_cu_refs_per_s",
            measure_cache_cu_refs_per_s(2'000'000LL * scale));
 
-  // Heap-vs-ladder A/B at three live-set sizes. The ladder floors are the
-  // CI trajectory gates (set ~4x under local Release so only a real
-  // regression trips on shared runners); the heap keys exist so the A/B
-  // ratio stays visible in the artifact history.
+  // The mix at three live-set sizes. The floors are the CI trajectory
+  // gates (set ~4x under local Release so only a real regression trips on
+  // shared runners).
   struct MixPoint {
     const char* tag;
     int live;
@@ -378,9 +370,7 @@ int main(int argc, char** argv) {
     const std::int64_t quota =
         static_cast<std::int64_t>(p.live) * (quick ? 2 : 4);
     json.set(std::string("ladder_mix_per_s_") + p.tag,
-             measure_mix_throughput(Engine::Scheduler::kLadder, p.live, quota));
-    json.set(std::string("heap_mix_per_s_") + p.tag,
-             measure_mix_throughput(Engine::Scheduler::kHeap, p.live, quota));
+             measure_mix_throughput(p.live, quota));
   }
   json.set("ci_floor_ladder_mix_per_s_100k", 600'000.0);
   json.set("ci_floor_ladder_mix_per_s_1m", 300'000.0);

@@ -45,8 +45,9 @@ commands:
   unixbench  [--cpus=1..8] [--smi=none|short|long] [--gap-ms=N] [--seed=N]
              The Figure-2 five-test index at one sweep point.
   detect     [--smi=short|long] [--gap-ms=N] [--duration-s=N]
-             [--window-ms=N] [--period-ms=N]
+             [--window-ms=N] [--period-ms=N] [--trace=FILE]
              hwlat-style TSC-gap detection, scored against ground truth.
+             --trace writes a Chrome trace of the run to FILE.
   rim        [--scan-mb=X] [--interval-ms=N] [--total-mb=X] [--nodes=N]
              A RIM (SMM integrity scanning) policy: residency, duty cycle,
              detection latency, and measured application slowdown.
@@ -54,13 +55,13 @@ commands:
              [--gap-ms=N] [--seed=N] [--hang-timeout-s=N]
              [--freeze=node:at_ms:dur_ms] [--crash=node:at_ms]
              [--link-down=node:at_ms:dur_ms] [--slow=node:at_ms:dur_ms:scale]
-             [--drop=P] [--dup=P]
+             [--drop=P] [--dup=P] [--trace=FILE]
              Ring halo-exchange job under an injected fault plan: transport
              drops/retransmissions, node freezes, fail-stop crashes. Each
              fault flag takes a comma-separated list of specs (e.g.
              --freeze=0:100:200,1:400:100). Prints the per-rank
              hang/deadlock diagnosis (and exits 3) if the faults stall the
-             job.
+             job. --trace writes a Chrome trace of the run to FILE.
   serve      [--socket=PATH] [--stdin-batch] [--workers=N] [--cache-mb=X]
              [--cache-shards=N]
              Persistent sweep service: newline-delimited JSON experiment
@@ -81,8 +82,7 @@ commands:
              (requires --program) and prints that run's outcome.
   help       This text.
 
-common:
-  --trace=FILE   write a Chrome trace of the (last) run to FILE.
+Each flag may appear once; a repeated or unknown flag is a usage error.
 
 exit codes: 0 success, 2 usage error, 3 the simulation itself faulted
 (deadlock / hang / max_sim_time / invalid configuration).
@@ -150,7 +150,6 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
                              ? TraceMode::kRetained
                              : TraceMode::kStreaming;
   const SmiConfig smi = smi_from(options, &error);
-  (void)options.get("trace", "");  // mark consumed
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
   if (!nas_valid_rank_count(spec.bench, spec.ranks())) {
@@ -202,7 +201,6 @@ int cmd_convolve(const Options& options, std::ostream& out, std::ostream& err) {
   const auto cpus = static_cast<int>(options.get_int("cpus", 8, &error));
   const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1, &error));
   const SmiConfig smi = smi_from(options, &error);
-  (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
   if (cpus < 1 || cpus > 8) return fail(err, "--cpus must be 1..8");
@@ -225,7 +223,6 @@ int cmd_unixbench(const Options& options, std::ostream& out, std::ostream& err) 
   ub.online_cpus = static_cast<int>(options.get_int("cpus", 8, &error));
   ub.seed = static_cast<std::uint64_t>(options.get_int("seed", 1, &error));
   const SmiConfig smi = smi_from(options, &error);
-  (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
   if (ub.online_cpus < 1 || ub.online_cpus > 8) {
@@ -282,7 +279,6 @@ int cmd_rim(const Options& options, std::ostream& out, std::ostream& err) {
   rim.check_interval_jiffies = options.get_int("interval-ms", 1000, &error);
   const double total_mb = options.get_double("total-mb", 256.0, &error);
   const auto nodes = static_cast<int>(options.get_int("nodes", 1, &error));
-  (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
 

@@ -16,13 +16,16 @@ std::optional<Options> Options::parse(int argc, const char* const* argv,
         return std::nullopt;
       }
       const auto eq = body.find('=');
-      if (eq == std::string::npos) {
-        options.values_[body] = "true";
-      } else if (eq == 0) {
+      if (eq == 0) {
         if (error) *error = "flag with empty name: '" + arg + "'";
         return std::nullopt;
-      } else {
-        options.values_[body.substr(0, eq)] = body.substr(eq + 1);
+      }
+      const std::string key = body.substr(0, eq);
+      const std::string value =
+          eq == std::string::npos ? "true" : body.substr(eq + 1);
+      if (!options.values_.emplace(key, value).second) {
+        if (error) *error = "flag --" + key + " given more than once";
+        return std::nullopt;
       }
     } else if (options.command_.empty()) {
       options.command_ = arg;

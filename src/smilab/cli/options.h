@@ -13,8 +13,8 @@ namespace smilab {
 class Options {
  public:
   /// Parse argv[1..): first non-flag token is the command, the rest must
-  /// be --key or --key=value flags. Returns nullopt (with a message in
-  /// *error) on malformed input.
+  /// be --key or --key=value flags, each key at most once. Returns nullopt
+  /// (with a message in *error) on malformed input or a repeated flag.
   static std::optional<Options> parse(int argc, const char* const* argv,
                                       std::string* error);
 

@@ -146,7 +146,6 @@ Explorer::RunOutcome Explorer::run_one() {
 
   std::unique_ptr<System> sys = target_.make_system();
   sys_ = sys.get();
-  sys->engine().set_scheduler(opts_.scheduler);
   sys->set_schedule_policy(&policy_);
   std::unique_ptr<FaultInjector> injector;
   if (target_.make_injector != nullptr) {

@@ -77,11 +77,6 @@ struct ExplorerOptions {
   std::size_t max_depth = 64;
   /// Digest-memo subtree pruning (see file header). Off = plain DFS.
   bool prune = true;
-  /// Event scheduler installed on every System the target builds. The
-  /// corpus pins (exact schedule counts, canonical hashes) must be
-  /// identical under both — the scheduler-equality suite runs the whole
-  /// corpus twice through this knob.
-  Engine::Scheduler scheduler = Engine::Scheduler::kLadder;
 };
 
 enum class Verdict : std::uint8_t {

@@ -8,11 +8,11 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 namespace smilab::serve {
 
@@ -80,11 +80,19 @@ struct SocketServer::Impl {
   std::atomic<bool> stopping{false};
   std::atomic<std::int64_t> accepted{0};
 
+  /// One accepted socket and the thread serving it. `done` is set, under
+  /// conn_mu, by the handler just before it closes `fd`: from then on
+  /// stop() must not touch the fd number, and the thread is ready to join.
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread handler;
+  };
+
   std::mutex conn_mu;
-  // guarded_by(conn_mu) open connection sockets (for stop())
-  std::vector<int> conn_fds;
-  // guarded_by(conn_mu) joined on stop()
-  std::vector<std::thread> handlers;
+  // List nodes stay put, so a handler may hold a reference to its entry.
+  // guarded_by(conn_mu) accepted connections not yet joined
+  std::list<Connection> conns;
 
   void accept_loop() {
     while (!stopping.load(std::memory_order_acquire)) {
@@ -99,15 +107,37 @@ struct SocketServer::Impl {
         ::close(fd);
         break;
       }
-      conn_fds.push_back(fd);
-      handlers.emplace_back([this, fd] { connection_loop(fd); });
+      // Join the handlers that have finished, so threads (and their
+      // stacks) held stay bounded by the open connections.
+      for (auto it = conns.begin(); it != conns.end();) {
+        if (!it->done) {
+          ++it;
+          continue;
+        }
+        it->handler.join();
+        it = conns.erase(it);
+      }
+      Connection& conn = conns.emplace_back();
+      conn.fd = fd;
+      conn.handler = std::thread{[this, &conn] { serve_connection(conn); }};
     }
+  }
+
+  void serve_connection(Connection& conn) {
+    const int fd = conn.fd;  // written before this thread started
+    connection_loop(fd);
+    {
+      const std::lock_guard<std::mutex> lock{conn_mu};
+      conn.done = true;
+    }
+    ::close(fd);
   }
 
   void connection_loop(int fd) {
     std::string pending;
     char buf[4096];
-    while (true) {
+    bool too_long = false;
+    while (!too_long) {
       const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;  // EOF, error, or shutdown via stop()
@@ -116,6 +146,7 @@ struct SocketServer::Impl {
       while (true) {
         const std::size_t nl = pending.find('\n', start);
         if (nl == std::string::npos) break;
+        if (nl - start > kMaxRequestLine) break;
         std::string line = pending.substr(start, nl - start);
         start = nl + 1;
         if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -125,8 +156,14 @@ struct SocketServer::Impl {
         write_all(fd, response);
       }
       pending.erase(0, start);
+      too_long = pending.size() > kMaxRequestLine;
     }
-    ::close(fd);
+    if (too_long) {
+      write_all(fd, service.error_line("request line longer than " +
+                                       std::to_string(kMaxRequestLine) +
+                                       " bytes") +
+                        '\n');
+    }
   }
 };
 
@@ -169,16 +206,17 @@ void SocketServer::stop() {
     ::shutdown(im.listen_fd, SHUT_RDWR);  // unblocks accept()
   }
   if (im.accept_thread.joinable()) im.accept_thread.join();
-  std::vector<std::thread> handlers;
+  std::list<Impl::Connection> conns;
   {
     const std::lock_guard<std::mutex> lock{im.conn_mu};
-    for (const int fd : im.conn_fds) {
-      ::shutdown(fd, SHUT_RDWR);  // unblocks recv(); handler closes the fd
+    for (const Impl::Connection& c : im.conns) {
+      // Unblocks recv(); the handler closes the fd. A done handler may
+      // already have closed it, and the number may be reused.
+      if (!c.done) ::shutdown(c.fd, SHUT_RDWR);
     }
-    im.conn_fds.clear();
-    handlers.swap(im.handlers);
+    conns.swap(im.conns);  // nodes move intact: handlers' references hold
   }
-  for (std::thread& t : handlers) t.join();
+  for (Impl::Connection& c : conns) c.handler.join();
   if (im.listen_fd >= 0) {
     ::close(im.listen_fd);
     im.listen_fd = -1;

@@ -4,7 +4,9 @@
 // Protocol (both transports): one request per line, one response line per
 // request, in request order per connection. Responses to different
 // connections interleave freely — each connection gets its own handler
-// thread, and SweepService::serve_line is fully thread-safe.
+// thread, and SweepService::serve_line is fully thread-safe. A socket
+// connection whose request line grows past kMaxRequestLine gets one error
+// line and is closed.
 //
 // The socket server binds AF_UNIX. A path starting with '@' selects the
 // Linux abstract namespace ('\0'-prefixed, auto-reclaimed on close — no
@@ -15,6 +17,7 @@
 // the client side (bench/serve_loadgen).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -22,6 +25,11 @@
 #include "smilab/serve/service.h"
 
 namespace smilab::serve {
+
+/// Longest request line a socket connection may send, in bytes without
+/// the newline. Valid requests are a few hundred bytes; the cap bounds
+/// what one client can make the daemon buffer.
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 /// Pump requests from `in` to `out` until EOF: one serve_line per input
 /// line (blank lines skipped), responses flushed per line. Returns the
@@ -40,7 +48,8 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Launch the accept loop (one thread) — handler threads spawn per
-  /// connection.
+  /// connection, and the accept loop joins finished ones, so threads and
+  /// fds held stay bounded by the open connections.
   void start();
 
   /// Stop accepting, unblock and join every handler, close all fds.

@@ -288,15 +288,7 @@ SweepService::Served SweepService::serve(const ExperimentRequest& request) {
 std::string SweepService::serve_line(std::string_view line) {
   std::string error;
   const auto request = parse_request_line(line, &error);
-  if (!request) {
-    impl_->errors.fetch_add(1, std::memory_order_relaxed);
-    JsonWriter w;
-    w.begin_object();
-    w.field("ok", false);
-    w.field("error", error);
-    w.end_object();
-    return w.take();
-  }
+  if (!request) return error_line(error);
 
   if (request->op == RequestLine::Op::kPing) {
     return R"({"ok":true,"op":"ping"})";
@@ -335,6 +327,16 @@ std::string SweepService::serve_line(std::string_view line) {
   } else {
     w.field("error", served.error);
   }
+  w.end_object();
+  return w.take();
+}
+
+std::string SweepService::error_line(std::string_view error) {
+  impl_->errors.fetch_add(1, std::memory_order_relaxed);
+  JsonWriter w;
+  w.begin_object();
+  w.field("ok", false);
+  w.field("error", error);
   w.end_object();
   return w.take();
 }

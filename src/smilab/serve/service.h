@@ -70,6 +70,11 @@ class SweepService {
   /// safe to call from many threads concurrently.
   [[nodiscard]] std::string serve_line(std::string_view line);
 
+  /// The {"ok":false,"error":...} response line (no trailing newline) for
+  /// a request refused before parsing, e.g. an over-long socket line.
+  /// Counts in stats().errors like any other failed request.
+  [[nodiscard]] std::string error_line(std::string_view error);
+
   /// A parsed experiment served directly (tests; bypasses JSON parsing but
   /// follows the identical cache/single-flight path).
   struct Served {

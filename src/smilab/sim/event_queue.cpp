@@ -58,9 +58,7 @@ EventId Engine::finish_schedule(SimTime t, std::uint32_t slot) {
   const std::uint64_t seq = next_seq_++;
   s.seq = seq;
   s.cancelled = false;
-  if (lane_enabled_ && tie_break_ == nullptr && t == now_) {
-    lane_.push_back(Entry{t, seq, slot});
-  } else if (ladder_routing() && t.ns() < win_hi_ns_) {
+  if (ladder_routing() && t.ns() < win_hi_ns_) {
     ladder_insert(Entry{t, seq, slot});
   } else {
     heap_push(Entry{t, seq, slot});
@@ -112,19 +110,6 @@ void Engine::compact_tombstones() {
     heap_[out++] = e;
   }
   heap_.resize(out);
-  // The lane holds tombstones too; sweep it so the counter reset is exact.
-  std::size_t lane_out = 0;
-  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
-    const Entry& e = lane_[i];
-    const Slot& s = slots_[e.slot];
-    if (s.cancelled && s.seq == e.seq) {
-      release_slot(e.slot);
-      continue;
-    }
-    lane_[lane_out++] = e;
-  }
-  lane_.resize(lane_out);
-  lane_head_ = 0;
   sweep_ladder_tombstones();
   tombstones_ = 0;
   // Floyd heap construction over the surviving entries.
@@ -158,45 +143,6 @@ void Engine::drop_root_tombstones() {
     release_slot(top.slot);
     --tombstones_;
   }
-}
-
-void Engine::drop_lane_tombstones() {
-  while (lane_head_ < lane_.size()) {
-    const Entry front = lane_[lane_head_];
-    const Slot& s = slots_[front.slot];
-    if (!(s.cancelled && s.seq == front.seq)) return;
-    release_slot(front.slot);
-    --tombstones_;
-    ++lane_head_;
-  }
-  lane_.clear();
-  lane_head_ = 0;
-}
-
-// Move every surviving lane entry into the heap (policy installation or
-// lane disable). (time, seq) is a total order, so subsequent pops are
-// unchanged by where an entry waits.
-void Engine::flush_lane() {
-  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
-    const Entry e = lane_[i];
-    const Slot& s = slots_[e.slot];
-    if (s.cancelled && s.seq == e.seq) {
-      release_slot(e.slot);
-      --tombstones_;
-      continue;
-    }
-    heap_push(e);
-  }
-  lane_.clear();
-  lane_head_ = 0;
-}
-
-void Engine::set_scheduler(Scheduler s) {
-  if (s == scheduler_) return;
-  scheduler_ = s;
-  // kHeap: everything must live in the heap again. kLadder: pending heap
-  // entries migrate at the next window refill, no pass needed.
-  if (s == Scheduler::kHeap) flush_ladder();
 }
 
 std::size_t Engine::bucket_index(SimTime t) const {
@@ -325,8 +271,8 @@ void Engine::ladder_pop_front() {
 }
 
 // Move every surviving ladder entry into the heap and drop the window
-// (policy installation or set_scheduler(kHeap)). Like flush_lane: (time,
-// seq) is a total order, so pop order is unchanged by the migration.
+// (policy installation). (time, seq) is a total order, so pop order is
+// unchanged by the migration.
 void Engine::flush_ladder() {
   if (ladder_size_ != 0) {
     for (Bucket& bk : buckets_) {
@@ -378,43 +324,24 @@ void Engine::sweep_ladder_tombstones() {
 }
 
 bool Engine::pop_next() {
-  if (tombstones_ != 0) {
-    drop_root_tombstones();
-    drop_lane_tombstones();
-  }
-  if (tie_break_ != nullptr) {  // lane and ladder are empty (flushed)
+  if (tombstones_ != 0) drop_root_tombstones();
+  if (tie_break_ != nullptr) {  // the ladder is empty (flushed)
     if (heap_.empty()) return false;
     return pop_tied();
   }
-  // Under the ladder the heap is the far-future tier: ladder_peek is the
-  // non-lane minimum (refilling the window from the heap as needed).
-  const Entry* next = ladder_routing()
-                          ? ladder_peek()
-                          : (heap_.empty() ? nullptr : heap_.data());
-  const bool lane_has = lane_head_ < lane_.size();
-  if (next == nullptr && !lane_has) return false;
-  // Merge: lane front vs scheduler minimum by (time, seq) — the same total
-  // order the heap alone produced.
-  const bool from_lane =
-      lane_has && (next == nullptr || before(lane_[lane_head_], *next));
-  const Entry top = from_lane ? lane_[lane_head_] : *next;
+  // The heap is the far-future tier: ladder_peek is the global minimum
+  // (refilling the window from the heap as needed).
+  const Entry* next = ladder_peek();
+  if (next == nullptr) return false;
+  const Entry top = *next;
   Slot& slot = slots_[top.slot];
   assert(slot.seq == top.seq);
   assert(top.time >= now_);
   now_ = top.time;
   // Move the callback out before executing: the callback may schedule
-  // events (growing the slab) or cancel others (compacting the heap).
+  // events (growing the slab) or cancel others (compacting the queue).
   InlineCallback fn = std::move(slot.fn);
-  if (from_lane) {
-    if (++lane_head_ == lane_.size()) {
-      lane_.clear();
-      lane_head_ = 0;
-    }
-  } else if (ladder_routing()) {
-    ladder_pop_front();
-  } else {
-    remove_root();
-  }
+  ladder_pop_front();
   release_slot(top.slot);
   --live_;
   ++executed_;
@@ -468,12 +395,6 @@ std::uint64_t Engine::pending_time_digest() const {
     if (s.seq != e.seq || s.cancelled) continue;  // tombstone
     acc += splitmix64(static_cast<std::uint64_t>(e.time.ns()));
   }
-  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
-    const Entry& e = lane_[i];
-    const Slot& s = slots_[e.slot];
-    if (s.seq != e.seq || s.cancelled) continue;
-    acc += splitmix64(static_cast<std::uint64_t>(e.time.ns()));
-  }
   for (const Bucket& bk : buckets_) {
     for (std::size_t i = bk.head; i < bk.v.size(); ++i) {
       const Entry& e = bk.v[i];
@@ -495,15 +416,7 @@ bool Engine::run_until(SimTime t) {
   stopped_ = false;
   while (!stopped_) {
     // Peek through tombstones without executing.
-    if (tombstones_ != 0) {
-      drop_root_tombstones();
-      drop_lane_tombstones();
-    }
-    if (lane_head_ < lane_.size()) {
-      // Lane entries fire at now_ <= t by the lane invariant.
-      pop_next();
-      continue;
-    }
+    if (tombstones_ != 0) drop_root_tombstones();
     const Entry* next = ladder_routing()
                             ? ladder_peek()
                             : (heap_.empty() ? nullptr : heap_.data());

@@ -1,25 +1,23 @@
-// Open-addressed key->value table for the rank-indexed transport fast
-// paths (DESIGN.md §16).
+// Open-addressed key->value table for the transport's matching stores
+// (DESIGN.md §16).
 //
-// std::unordered_map pays a node allocation per insert and a node free per
-// erase; the transport's bucket maps churn one insert+erase pair per
-// message, so above a few thousand ranks the allocator traffic and pointer
-// chases dominate matching. FlatKeyMap stores (key, value) pairs inline in
-// one power-of-two slot array: linear probing on a splitmix64-hashed key,
-// backward-shift deletion (no tombstones, so probe chains never rot), and
-// growth by doubling at 3/4 load. Erase frees nothing and insert allocates
-// only on growth, so steady-state churn is allocation-free; memory is
-// bounded by the high-water concurrent key count, mirroring the message
-// pool's in-flight bound.
+// The transport's bucket maps churn one insert+erase pair per message, so
+// a node-based map's allocation per insert and free per erase would
+// dominate matching above a few thousand ranks. FlatKeyMap stores
+// (key, value) pairs inline in one power-of-two slot array: linear probing
+// on a splitmix64-hashed key, backward-shift deletion (no tombstones, so
+// probe chains never rot), and growth by doubling at 3/4 load. Erase frees
+// nothing and insert allocates only on growth, so steady-state churn is
+// allocation-free; memory is bounded by the high-water concurrent key
+// count, mirroring the message pool's in-flight bound.
 //
 // Determinism (smilint D3 discipline): the table is match-by-key on the
 // hot path — find, get_or_insert, erase. for_each visits slots in probe
 // order, which depends on insertion history; callers must sort whatever
-// they collect before it can reach simulation state or output, exactly as
-// with the unordered_map-backed classic path.
+// they collect before it can reach simulation state or output.
 //
 // Keys are raw 64-bit values; ~0 is reserved as the empty sentinel. The
-// transport's keys — (src<<32)|tag with src >= 0, plain tags, and
+// transport's keys — ((src+1)<<32)|tag with src >= 0, plain tags, and
 // monotonically allocated ack keys — can never collide with it.
 #pragma once
 

@@ -260,26 +260,6 @@ class System {
   void set_transport_fast_paths(bool on) { fast_paths_ = on; }
   [[nodiscard]] bool transport_fast_paths() const { return fast_paths_; }
 
-  /// Enable/disable the rank-indexed transport stores: flat open-addressed
-  /// (src,tag)/tag buckets, posted-receive index, and ack-router slots
-  /// instead of unordered_map nodes. Bit-exact — matching stays key-probed
-  /// and every iteration sorts before it can have a simulation-visible
-  /// effect — so the toggle only moves constants: node alloc/free churn
-  /// drops out of the per-message path. Applied to groups of at least
-  /// `transport_rank_index_threshold()` members at spawn time (small
-  /// groups keep the classic maps, whose nodes fit in cache anyway). On by
-  /// default; the off position exists for the scheduler-equality tests.
-  void set_transport_rank_indexing(bool on);
-  [[nodiscard]] bool transport_rank_indexing() const { return rank_indexing_; }
-
-  /// Group size at or above which spawn_group switches a member's
-  /// transport stores to the rank-indexed layout. Tests set 0 to force
-  /// flat mode onto the small golden programs.
-  void set_transport_rank_index_threshold(int n) { rank_index_threshold_ = n; }
-  [[nodiscard]] int transport_rank_index_threshold() const {
-    return rank_index_threshold_;
-  }
-
   /// Injected-fault intervals, in injection order (for traces and reports).
   [[nodiscard]] const std::vector<FaultRecord>& fault_log() const {
     return fault_log_;
@@ -484,8 +464,6 @@ class System {
 
   // Fault and watchdog state.
   bool fast_paths_ = true;
-  bool rank_indexing_ = true;
-  int rank_index_threshold_ = 64;
   LinkFaultModel* link_fault_ = nullptr;
   SchedulePolicy* sched_policy_ = nullptr;  ///< null: canonical schedule
   std::vector<double> fault_rate_;  ///< per-node fault rate degradation

@@ -195,32 +195,24 @@ MsgHandle UnexpectedQueue::match(MessagePool& pool, int src_rank, int tag,
 
 std::vector<int> UnexpectedQueue::tag_keys() const {
   std::vector<int> tags;
-  if (rank_indexed_) {
-    flat_.for_each([&tags](std::uint64_t key, const Bucket&) {
-      // Tag-family keys only: (src, tag) keys carry src + 1 up top.
-      if ((key >> 32) == 0) {
-        tags.push_back(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(key)));
-      }
-    });
-  } else if (classic_) {
-    tags.reserve(classic_->by_tag.size());
-    // smilint: allow(unordered-iter) reason=keys are sorted before any effect; hash order cannot escape
-    for (const auto& [tag, bucket] : classic_->by_tag) tags.push_back(tag);
-  }
+  buckets_.for_each([&tags](std::uint64_t key, const Bucket&) {
+    // Tag-family keys only: (src, tag) keys carry src + 1 up top.
+    if ((key >> 32) == 0) {
+      tags.push_back(
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(key)));
+    }
+  });
   std::sort(tags.begin(), tags.end());
   return tags;
 }
 
 void UnexpectedQueue::clear(MessagePool& pool) {
-  // Drain via sorted tag keys. Releasing in probe/hash-iteration order
-  // would push records onto the pool free list in an order that varies
-  // with insertion history (flat mode) or across libstdc++ hash
-  // implementations (classic) — and free-list order decides the slab
-  // index of every future allocation. Sorting first makes the post-kill
-  // pool state a deterministic function of queue content alone; each
-  // per-tag list is already arrival-ordered, covering every queued record
-  // exactly once.
+  // Drain via sorted tag keys. Releasing in probe order would push records
+  // onto the pool free list in an order that varies with insertion history
+  // — and free-list order decides the slab index of every future
+  // allocation. Sorting first makes the post-kill pool state a
+  // deterministic function of queue content alone; each per-tag list is
+  // already arrival-ordered, covering every queued record exactly once.
   for (const int tag : tag_keys()) {
     std::uint32_t i = find_tag_bucket(tag)->head;
     while (i != MessageRec::kNil) {
@@ -229,11 +221,7 @@ void UnexpectedQueue::clear(MessagePool& pool) {
       i = next;
     }
   }
-  if (classic_) {
-    classic_->by_tag.clear();
-    classic_->by_src_tag.clear();
-  }
-  flat_.clear();
+  buckets_.clear();
   count_ = 0;
 }
 
@@ -241,34 +229,19 @@ void UnexpectedQueue::check_invariants(const MessagePool& pool) const {
   auto fail = [](const std::string& what) {
     throw std::logic_error("UnexpectedQueue::check_invariants: " + what);
   };
-  // Collect buckets from whichever store is active; validation is order-
-  // insensitive (every failure throws regardless of visit order).
+  // Split the buckets by key family; validation is order-insensitive
+  // (every failure throws regardless of visit order).
   std::vector<std::pair<int, Bucket>> tag_buckets;
   std::vector<std::pair<std::uint64_t, Bucket>> st_buckets;
-  if (rank_indexed_) {
-    flat_.for_each([&tag_buckets, &st_buckets](std::uint64_t key,
-                                               const Bucket& b) {
-      if ((key >> 32) == 0) {
-        tag_buckets.emplace_back(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(key)), b);
-      } else {
-        // Re-encode to the classic (src << 32) | tag layout the checks
-        // below decode (flat keys bias src by +1; see flat_st_key).
-        st_buckets.emplace_back(((key >> 32) - 1) << 32 |
-                                    (key & 0xffffffffu),
-                                b);
-      }
-    });
-  } else if (classic_) {
-    // smilint: allow(unordered-iter) reason=validation only; every failure throws regardless of visit order
-    for (const auto& [tag, bucket] : classic_->by_tag) {
-      tag_buckets.emplace_back(tag, bucket);
+  buckets_.for_each([&tag_buckets, &st_buckets](std::uint64_t key,
+                                                const Bucket& b) {
+    if ((key >> 32) == 0) {
+      tag_buckets.emplace_back(
+          static_cast<std::int32_t>(static_cast<std::uint32_t>(key)), b);
+    } else {
+      st_buckets.emplace_back(key, b);
     }
-    // smilint: allow(unordered-iter) reason=validation only; every failure throws regardless of visit order
-    for (const auto& [key, bucket] : classic_->by_src_tag) {
-      st_buckets.emplace_back(key, bucket);
-    }
-  }
+  });
 
   std::size_t tag_seen = 0;
   for (const auto& [tag, bucket] : tag_buckets) {
@@ -300,7 +273,7 @@ void UnexpectedQueue::check_invariants(const MessagePool& pool) const {
   std::size_t st_seen = 0;
   for (const auto& [key, bucket] : st_buckets) {
     if (bucket.head == MessageRec::kNil) fail("empty (src,tag) bucket");
-    const int src = static_cast<std::int32_t>(key >> 32);
+    const int src = static_cast<std::int32_t>((key >> 32) - 1);  // st_key
     const int tag = static_cast<std::int32_t>(key & 0xffffffffu);
     std::uint64_t last_seq = 0;
     bool first = true;
@@ -344,54 +317,37 @@ NbHandleTable::Entry& NbHandleTable::open_slot(int id, bool is_send) {
 }
 
 const std::pmr::vector<int>* NbHandleTable::find_posted(int tag) const {
-  if (rank_indexed_) {
-    const std::uint32_t* idx = posted_flat_.find(
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-    if (idx == nullptr) return nullptr;
-    return &posted_store_[*idx - 1];
-  }
-  if (!posted_by_tag_) return nullptr;
-  auto it = posted_by_tag_->find(tag);
-  return it == posted_by_tag_->end() ? nullptr : &it->second;
+  const std::uint32_t* idx = posted_index_.find(
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
+  return idx == nullptr ? nullptr : &posted_store_[*idx - 1];
 }
 
 std::pmr::vector<int>& NbHandleTable::get_posted(int tag) {
-  if (rank_indexed_) {
-    // The flat map holds (store index + 1) so a value-initialized slot
-    // reads as "no bucket"; the pmr vectors never move — FlatKeyMap only
-    // relocates the 32-bit indices during rehash / backward shift.
-    std::uint32_t& ref = posted_flat_.get_or_insert(
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-    if (ref == 0) {
-      if (!store_free_.empty()) {
-        ref = store_free_.back() + 1;
-        store_free_.pop_back();
-      } else {
-        posted_store_.emplace_back(arena_);
-        ref = static_cast<std::uint32_t>(posted_store_.size());
-      }
+  // The flat map holds (store index + 1) so a value-initialized slot reads
+  // as "no bucket"; the pmr vectors never move — FlatKeyMap only relocates
+  // the 32-bit indices during rehash / backward shift.
+  std::uint32_t& ref = posted_index_.get_or_insert(
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
+  if (ref == 0) {
+    if (!store_free_.empty()) {
+      ref = store_free_.back() + 1;
+      store_free_.pop_back();
+    } else {
+      posted_store_.emplace_back(arena_);
+      ref = static_cast<std::uint32_t>(posted_store_.size());
     }
-    return posted_store_[ref - 1];
   }
-  if (!posted_by_tag_) {
-    posted_by_tag_ =
-        std::make_unique<std::unordered_map<int, std::pmr::vector<int>>>();
-  }
-  return posted_by_tag_->try_emplace(tag, arena_).first->second;
+  return posted_store_[ref - 1];
 }
 
 void NbHandleTable::erase_posted(int tag) {
-  if (rank_indexed_) {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
-    std::uint32_t* idx = posted_flat_.find(key);
-    assert(idx != nullptr);
-    assert(posted_store_[*idx - 1].empty());
-    store_free_.push_back(*idx - 1);
-    posted_flat_.erase(key);
-    return;
-  }
-  posted_by_tag_->erase(tag);
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
+  std::uint32_t* idx = posted_index_.find(key);
+  assert(idx != nullptr);
+  assert(posted_store_[*idx - 1].empty());
+  store_free_.push_back(*idx - 1);
+  posted_index_.erase(key);
 }
 
 void NbHandleTable::post_recv(int id) {
@@ -445,11 +401,10 @@ void NbHandleTable::clear() {
   for (Entry& e : entries_) e.open = false;
   open_ = 0;
   open_recvs_ = 0;
-  posted_by_tag_.reset();
-  // Match the classic wholesale drop: the pmr vectors point into an arena
-  // whose lifetime the caller is about to recycle, so release them rather
-  // than keeping them on the free list.
-  posted_flat_.clear();
+  // Drop the id vectors wholesale: they point into an arena whose lifetime
+  // the caller is about to recycle, so release them rather than keeping
+  // them on the free list.
+  posted_index_.clear();
   posted_store_.clear();
   store_free_.clear();
 }

@@ -2,6 +2,7 @@
 // in-process against string streams).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -56,6 +57,18 @@ TEST(OptionsTest, RejectsMalformedInput) {
   EXPECT_FALSE(Options::parse(2, empty_name, &error).has_value());
 }
 
+TEST(OptionsTest, RepeatedFlagIsAnError) {
+  std::string error;
+  const char* valued[] = {"smilab", "rim", "--scan-mb=16", "--scan-mb=64"};
+  EXPECT_FALSE(Options::parse(4, valued, &error).has_value());
+  EXPECT_NE(error.find("--scan-mb"), std::string::npos) << error;
+
+  error.clear();
+  const char* bare[] = {"smilab", "nas", "--htt", "--htt=false"};
+  EXPECT_FALSE(Options::parse(4, bare, &error).has_value());
+  EXPECT_NE(error.find("--htt"), std::string::npos) << error;
+}
+
 TEST(OptionsTest, TypeErrorsReported) {
   const Options options = parse_ok({"nas", "--nodes=abc"});
   std::string error;
@@ -107,6 +120,30 @@ TEST(CliTest, UnknownFlagFails) {
   EXPECT_EQ(run({"convolve", "--cpuz=4"}, &out, &err), 2);
   EXPECT_NE(err.find("--cpuz"), std::string::npos);
 }
+
+TEST(CliTest, RepeatedFlagFails) {
+  std::string out, err;
+  EXPECT_EQ(run({"rim", "--scan-mb=16", "--scan-mb=64"}, &out, &err), 2);
+  EXPECT_NE(err.find("--scan-mb"), std::string::npos) << err;
+  EXPECT_TRUE(out.find("RIM policy") == std::string::npos) << out;
+}
+
+// Only detect and faults write a trace; the other commands must reject
+// --trace as an unknown flag rather than accept it and write nothing.
+void expect_trace_rejected(const char* command) {
+  const std::string path = ::testing::TempDir() + "/smilab_cli_" +
+                           std::string(command) + "_trace.json";
+  std::remove(path.c_str());
+  std::string out, err;
+  EXPECT_EQ(run({command, ("--trace=" + path).c_str()}, &out, &err), 2);
+  EXPECT_NE(err.find("--trace"), std::string::npos) << err;
+  EXPECT_FALSE(std::ifstream{path}.good()) << path;
+}
+
+TEST(CliTest, NasRejectsTraceFlag) { expect_trace_rejected("nas"); }
+TEST(CliTest, ConvolveRejectsTraceFlag) { expect_trace_rejected("convolve"); }
+TEST(CliTest, UnixbenchRejectsTraceFlag) { expect_trace_rejected("unixbench"); }
+TEST(CliTest, RimRejectsTraceFlag) { expect_trace_rejected("rim"); }
 
 TEST(CliTest, NasCommandReportsSlowdown) {
   std::string out;

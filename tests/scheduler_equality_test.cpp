@@ -1,13 +1,15 @@
-// Scheduler-equality suite: the ladder/calendar event queue (DESIGN.md
-// §16) is a pure speed change. Everything observable — the PR-3 golden
-// transport hashes, the smichk corpus pins (exact explored-schedule
-// counts), and a 4096-rank streaming ring sweep — must be bit-identical
-// under Engine::Scheduler::kLadder and kHeap, with transport rank-indexing
-// on and off. A drift here is a correctness bug in the scheduler, not a
-// perf tradeoff; do not re-pin without understanding why.
+// Engine golden suite: the ladder/calendar event queue (DESIGN.md §16) and
+// the FlatKeyMap transport stores carry every golden hash, so the golden
+// transport hashes and a 4096-rank streaming ring sweep are reasserted
+// here against pinned constants. A drift here is a correctness bug in the
+// engine or the transport layout, not a perf tradeoff; do not re-pin
+// without understanding why. The suite and test names predate the removal
+// of the heap-only scheduler and the unordered_map transport stores they
+// once compared against; the heap-only reference engine now lives in
+// tests/engine_oracle_test.cpp and the naive matching scans in
+// tests/transport_oracle_test.cpp.
 //
-// Alongside the equality pins: FlatKeyMap (the open-addressed u64 map
-// under the rank-indexed transport and the ladder slab) churned against a
+// Alongside the golden pins: FlatKeyMap churned against a
 // std::unordered_map reference.
 #include <gtest/gtest.h>
 
@@ -19,8 +21,6 @@
 #include <vector>
 
 #include "smilab/apps/nas/nas.h"
-#include "smilab/mc/corpus.h"
-#include "smilab/mc/explorer.h"
 #include "smilab/mpi/collectives.h"
 #include "smilab/mpi/job.h"
 #include "smilab/mpi/streaming.h"
@@ -29,8 +29,6 @@
 
 namespace smilab {
 namespace {
-
-using Scheduler = Engine::Scheduler;
 
 // FNV-1a over 64-bit words — the idiom of tests/transport_test.cpp, which
 // owns the pinned constants reasserted below.
@@ -74,11 +72,10 @@ void mix_system(TraceHash& h, const System& sys) {
   h.mix_signed(sys.transport_failures());
 }
 
-// --- PR-3 golden transport hashes under both schedulers ---------------------
+// --- Golden transport hashes -----------------------------------------------
 
 // Pinned in tests/transport_test.cpp (seed build); re-declared here so the
-// ladder must reproduce the SAME bytes the heap has been pinned to since
-// PR-3 — not merely agree with whatever the heap produces today.
+// ladder must reproduce the SAME bytes the heap-only engine was pinned to.
 constexpr std::uint64_t kTable2SubGridHash = 2027882165916727799ull;
 constexpr std::uint64_t kCollectiveMixHash = 17019758979342947237ull;
 
@@ -91,8 +88,8 @@ SystemConfig wyeast_cfg(int nodes, std::uint64_t seed) {
   return cfg;
 }
 
-// The Table-2 (NAS EP) sub-grid golden program, parameterized by scheduler.
-std::uint64_t table2_subgrid_hash(Scheduler sched) {
+// The Table-2 (NAS EP) sub-grid golden program.
+std::uint64_t table2_subgrid_hash() {
   TraceHash h;
   for (const bool long_smi : {false, true}) {
     for (const std::uint64_t seed : {1ull, 2ull}) {
@@ -103,7 +100,6 @@ std::uint64_t table2_subgrid_hash(Scheduler sched) {
         cfg.smi = long_smi ? SmiConfig::long_every_second()
                            : SmiConfig::short_every_second();
         System sys{cfg};
-        sys.engine().set_scheduler(sched);
         auto programs = build_nas_trace(spec, NasKnob{4096, 0});
         auto result =
             run_mpi_job(sys, std::move(programs),
@@ -118,14 +114,13 @@ std::uint64_t table2_subgrid_hash(Scheduler sched) {
 }
 
 // The mixed blocking/nonblocking collective golden program (rendezvous
-// payloads, isend/irecv/waitall, barrier), parameterized by scheduler.
-std::uint64_t collective_mix_hash(Scheduler sched) {
+// payloads, isend/irecv/waitall, barrier).
+std::uint64_t collective_mix_hash() {
   TraceHash h;
   for (const std::uint64_t seed : {3ull, 11ull}) {
     SystemConfig cfg = wyeast_cfg(8, seed);
     cfg.smi = SmiConfig::long_every_second();
     System sys{cfg};
-    sys.engine().set_scheduler(sched);
     auto programs = make_rank_programs(8);
     TagAllocator tags;
     for (int iter = 0; iter < 6; ++iter) {
@@ -144,53 +139,21 @@ std::uint64_t collective_mix_hash(Scheduler sched) {
 }
 
 TEST(SchedulerEqualityTest, Table2SubGridGoldenPinnedUnderBothSchedulers) {
-  EXPECT_EQ(table2_subgrid_hash(Scheduler::kLadder), kTable2SubGridHash);
-  EXPECT_EQ(table2_subgrid_hash(Scheduler::kHeap), kTable2SubGridHash);
+  EXPECT_EQ(table2_subgrid_hash(), kTable2SubGridHash);
 }
 
 TEST(SchedulerEqualityTest, CollectiveMixGoldenPinnedUnderBothSchedulers) {
-  EXPECT_EQ(collective_mix_hash(Scheduler::kLadder), kCollectiveMixHash);
-  EXPECT_EQ(collective_mix_hash(Scheduler::kHeap), kCollectiveMixHash);
+  EXPECT_EQ(collective_mix_hash(), kCollectiveMixHash);
 }
 
-// --- smichk corpus pins under the heap scheduler ----------------------------
-
-// tests/mc_test.cpp pins the corpus under the default (ladder) scheduler.
-// Re-exploring under kHeap must reproduce the EXACT same tree: schedule
-// counts, pruned counts, verdicts, and the canonical observable hash. Any
-// difference means the scheduler changed which choice points exist — a
-// schedule-order drift, exactly what this suite exists to catch.
-TEST(SchedulerEqualityTest, SmichkCorpusPinsIdenticalUnderHeapScheduler) {
-  for (const mc::McCase& c : mc::corpus()) {
-    SCOPED_TRACE(c.name);
-    mc::ExplorerOptions opts;
-    opts.max_schedules = mc::kCorpusMaxSchedules;
-    opts.max_depth = mc::kCorpusMaxDepth;
-
-    opts.scheduler = Scheduler::kLadder;
-    mc::Explorer ladder{c.target, opts};
-    const mc::ExplorationReport lrep = ladder.explore();
-
-    opts.scheduler = Scheduler::kHeap;
-    mc::Explorer heap{c.target, opts};
-    const mc::ExplorationReport hrep = heap.explore();
-
-    EXPECT_EQ(hrep.verdict, c.expect_verdict) << mc::to_string(hrep.verdict);
-    EXPECT_EQ(hrep.schedules_run, c.expect_schedules);
-    EXPECT_EQ(hrep.schedules_pruned, c.expect_pruned);
-    EXPECT_TRUE(hrep.exhausted());
-    EXPECT_EQ(hrep.canonical_hash, lrep.canonical_hash);
-    EXPECT_EQ(hrep.schedules_run, lrep.schedules_run);
-  }
-}
-
-// --- 4096-rank streaming ring under all four toggle combinations ------------
+// --- 4096-rank streaming ring ----------------------------------------------
 
 // The scale_projection ring halo-exchange at 4096 ranks — the shape the
-// ladder and the rank-indexed transport were built for — run under
-// {ladder, heap} x {rank-indexing on, off}. All four observable hashes
-// must be identical: the hot-path rewrites compose without drift.
-std::uint64_t ring_sweep_hash(Scheduler sched, bool rank_indexed) {
+// ladder and the flat transport stores were built for. Pinned to the value
+// the heap-only engine and the classic transport maps also produced.
+constexpr std::uint64_t kStreamingRing4096Hash = 10078820625376476608ull;
+
+std::uint64_t ring_sweep_hash() {
   constexpr int kRanks = 4096;
   constexpr int kIters = 5;
   constexpr int kRanksPerNode = 8;
@@ -201,8 +164,6 @@ std::uint64_t ring_sweep_hash(Scheduler sched, bool rank_indexed) {
   cfg.smi = SmiConfig::none();
   cfg.seed = 42;
   System sys{cfg};
-  sys.engine().set_scheduler(sched);
-  sys.set_transport_rank_indexing(rank_indexed);
   auto sources = chunked_rank_sources(kRanks, [](int rank) {
     return [rank](int chunk, RankProgram& rp, TagAllocator& tags) {
       if (chunk >= kIters) return false;
@@ -227,35 +188,7 @@ std::uint64_t ring_sweep_hash(Scheduler sched, bool rank_indexed) {
 }
 
 TEST(SchedulerEqualityTest, StreamingRing4096BitIdenticalAcrossToggles) {
-  const std::uint64_t reference =
-      ring_sweep_hash(Scheduler::kLadder, /*rank_indexed=*/true);
-  EXPECT_EQ(ring_sweep_hash(Scheduler::kHeap, true), reference);
-  EXPECT_EQ(ring_sweep_hash(Scheduler::kLadder, false), reference);
-  EXPECT_EQ(ring_sweep_hash(Scheduler::kHeap, false), reference);
-}
-
-// --- Mid-run scheduler switch ------------------------------------------------
-
-// set_scheduler is documented safe mid-run (kHeap flushes the ladder
-// window; kLadder lets the heap drain through refills). Flipping back and
-// forth while a program runs must not change the outcome.
-TEST(SchedulerEqualityTest, MidRunSwitchPreservesOrder) {
-  auto run = [](bool flip) {
-    Engine eng;
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i) {
-      eng.schedule_at(SimTime{100 + 7 * i}, [&order, i] { order.push_back(i); });
-    }
-    eng.schedule_at(SimTime{150}, [&] {
-      if (flip) eng.set_scheduler(Scheduler::kHeap);
-    });
-    eng.schedule_at(SimTime{300}, [&] {
-      if (flip) eng.set_scheduler(Scheduler::kLadder);
-    });
-    eng.run();
-    return order;
-  };
-  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(ring_sweep_hash(), kStreamingRing4096Hash);
 }
 
 // --- FlatKeyMap vs unordered_map reference -----------------------------------

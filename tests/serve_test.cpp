@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -513,6 +516,106 @@ TEST(ServeSocket, RoundTripsOverAbstractUnixSocket) {
   server->stop();
   EXPECT_EQ(server->connections_accepted(), 2);
   server->stop();  // idempotent
+}
+
+/// A started server on a fresh abstract socket, or null if the sandbox
+/// cannot bind one.
+std::unique_ptr<SocketServer> start_server(SweepService& service,
+                                           const std::string& name) {
+  const std::string path =
+      "@smilab-serve-" + name + "-" + std::to_string(::getpid());
+  std::unique_ptr<SocketServer> server;
+  try {
+    server = std::make_unique<SocketServer>(service, path);
+  } catch (const std::runtime_error&) {
+    return nullptr;
+  }
+  server->start();
+  return server;
+}
+
+/// Bound every blocking call on `fd`, so a server that never answers
+/// fails the test instead of hanging it.
+void set_timeouts(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+}
+
+TEST(ServeSocket, OverlongLineGetsOneErrorAndClose) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SweepService service{cfg};
+  const auto server = start_server(service, "overlong");
+  if (!server) GTEST_SKIP() << "cannot bind abstract unix socket";
+  const int fd = connect_abstract(server->path());
+  ASSERT_GE(fd, 0);
+  set_timeouts(fd);
+
+  // More than the cap, never a newline. Past the cap the server stops
+  // reading and closes, which ends the send loop early.
+  const std::string chunk(64 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent <= kMaxRequestLine + chunk.size()) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_GT(sent, kMaxRequestLine);
+
+  const std::string line = recv_line(fd);
+  EXPECT_NE(line.find(R"("ok":false)"), std::string::npos) << line;
+  EXPECT_NE(line.find("request line longer than"), std::string::npos) << line;
+  // Then the connection is closed: EOF (or a reset, since the server left
+  // bytes unread), not a receive timeout.
+  char c = 0;
+  const ssize_t n = ::recv(fd, &c, 1, 0);
+  const int why = errno;
+  EXPECT_TRUE(n == 0 || (n < 0 && why == ECONNRESET))
+      << "recv returned " << n << " errno " << why;
+  ::close(fd);
+  server->stop();
+  EXPECT_EQ(service.stats().errors, 1);
+}
+
+/// Virtual size of this process in kB, or -1 without /proc.
+long long vm_size_kb() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(ServeSocket, SequentialConnectionsDoNotAccumulateHandlers) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SweepService service{cfg};
+  const auto server = start_server(service, "reap");
+  if (!server) GTEST_SKIP() << "cannot bind abstract unix socket";
+  const std::string ping = R"({"op":"ping"})" "\n";
+  auto cycle = [&] {
+    const int fd = connect_abstract(server->path());
+    ASSERT_GE(fd, 0);
+    set_timeouts(fd);
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), 0),
+              static_cast<ssize_t>(ping.size()));
+    EXPECT_EQ(recv_line(fd), R"({"ok":true,"op":"ping"})");
+    ::close(fd);
+  };
+  for (int i = 0; i < 5; ++i) cycle();
+  const long long before = vm_size_kb();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  for (int i = 0; i < 200; ++i) cycle();
+  const long long grown_kb = vm_size_kb() - before;
+  // An unjoined handler keeps its whole stack mapped (8 MB by default), so
+  // 200 of them would add ~1.6 GB. Joined handlers leave only what a few
+  // concurrent ones map: their stacks and a 64 MB malloc arena each.
+  EXPECT_LT(grown_kb, 512 * 1024) << "VmSize grew " << grown_kb << " kB";
+  server->stop();
+  EXPECT_EQ(server->connections_accepted(), 205);
 }
 
 }  // namespace

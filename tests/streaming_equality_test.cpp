@@ -3,8 +3,7 @@
 // change. Every scenario here runs twice — retained (the bit-pinned
 // historical path, covered by the golden hashes elsewhere) and streaming —
 // and asserts the full observable trace hashes are EQUAL, extending those
-// pins to the streaming path. Same structure for the engine's same-instant
-// lane: on (default) vs off must execute the identical event order.
+// pins to the streaming path.
 //
 // Alongside the equality pins: unit behaviour of ChunkedProgramSource and
 // RepeatActions, peak_program_actions high-water accounting (the metric
@@ -370,81 +369,6 @@ TEST(SmmAccountingRingTest, AggregatesStayExactWhenRingIsBounded) {
   ASSERT_EQ(capped.intervals().size(), 8u);
   EXPECT_EQ(capped.intervals().front().enter, SimTime{92 * 1'000'000});
   EXPECT_EQ(full.intervals().size(), 100u);
-}
-
-// --- Engine same-instant lane ------------------------------------------------
-
-TEST(SameInstantLaneTest, NasScheduleIdenticalWithLaneOff) {
-  const NasKnob knob{32 * 1024, 0};
-  auto run_with_lane = [&](bool lane) {
-    const NasJobSpec spec = small_ft();
-    System sys = make_nas_system(spec, SmiConfig::long_every_second(), 2);
-    sys.engine().set_same_instant_lane(lane);
-    const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
-    MpiJobResult result =
-        run_mpi_job(sys, build_nas_trace(spec, knob), placement,
-                    WorkloadProfile::dense_fp());
-    sys.validate();
-    TraceHash h;
-    h.mix_signed(result.elapsed.ns());
-    mix_system(h, sys);
-    return h.value();
-  };
-  EXPECT_EQ(run_with_lane(true), run_with_lane(false));
-}
-
-TEST(SameInstantLaneTest, MergePreservesTimeSeqOrderAndCancellation) {
-  auto fire_order = [](bool lane) {
-    Engine eng;
-    eng.set_same_instant_lane(lane);
-    std::vector<int> order;
-    // Seed a future event whose callback schedules a same-instant storm
-    // with interleaved cancellation: heap entries and lane entries at the
-    // same timestamp must interleave by seq exactly.
-    eng.schedule_at(SimTime{100}, [&] {
-      // Scheduled at now: lane candidates (heap entries when lane off).
-      eng.schedule_at(SimTime{100}, [&] { order.push_back(1); });
-      const EventId victim =
-          eng.schedule_at(SimTime{100}, [&] { order.push_back(2); });
-      eng.schedule_at(SimTime{100}, [&] {
-        order.push_back(3);
-        // Nested same-instant wake, scheduled while draining the storm.
-        eng.schedule_at(SimTime{100}, [&] { order.push_back(5); });
-      });
-      eng.schedule_at(SimTime{200}, [&] { order.push_back(6); });
-      eng.schedule_at(SimTime{100}, [&] { order.push_back(4); });
-      eng.cancel(victim);
-    });
-    eng.run();
-    return order;
-  };
-  const auto with_lane = fire_order(true);
-  EXPECT_EQ(with_lane, fire_order(false));
-  EXPECT_EQ(with_lane, (std::vector<int>{1, 3, 4, 5, 6}));
-}
-
-TEST(SameInstantLaneTest, PendingDigestSeesLaneEntries) {
-  Engine eng;
-  std::uint64_t digest_in_callback_lane = 0;
-  eng.schedule_at(SimTime{50}, [&] {
-    eng.schedule_at(SimTime{50}, [] {});
-    digest_in_callback_lane = eng.pending_time_digest();
-    eng.stop();
-  });
-  eng.run();
-
-  Engine ref;
-  ref.set_same_instant_lane(false);
-  std::uint64_t digest_in_callback_heap = 0;
-  ref.schedule_at(SimTime{50}, [&] {
-    ref.schedule_at(SimTime{50}, [] {});
-    digest_in_callback_heap = ref.pending_time_digest();
-    ref.stop();
-  });
-  ref.run();
-
-  EXPECT_NE(digest_in_callback_lane, 0u);
-  EXPECT_EQ(digest_in_callback_lane, digest_in_callback_heap);
 }
 
 // --- Work queue uniform representation --------------------------------------
