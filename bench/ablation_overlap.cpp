@@ -28,7 +28,7 @@ double run(int nodes, bool nonblocking, const SmiConfig& smi,
   cfg.seed = seed;
   System sys{cfg};
   // Streamed: one iteration per chunk via the per-rank collective forms —
-  // the same action/tag sequences the retained span build produced.
+  // the same action/tag sequences the span-form build produces.
   const auto factory = chunked_rank_sources(nodes, [nonblocking](int) {
     return [nonblocking](int chunk, RankProgram& rp, TagAllocator& tags) {
       if (chunk >= 20) return false;

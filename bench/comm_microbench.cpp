@@ -40,7 +40,6 @@
 #include "smilab/core/sweep.h"
 #include "smilab/mpi/job.h"
 #include "smilab/sim/system.h"
-#include "smilab/trace/action_arena.h"
 
 namespace {
 
@@ -70,8 +69,6 @@ struct Rate {
 
 /// Eager ping-pong between two ranks on distinct nodes.
 Rate measure_ping_pong(int round_trips, bool fast_paths) {
-  ActionArena arena;
-  ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
   sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
@@ -96,8 +93,6 @@ Rate measure_ping_pong(int round_trips, bool fast_paths) {
 /// distinct tags pile up while the receiver computes, then are received in
 /// reverse tag order; repeated for `rounds`.
 Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
-  ActionArena arena;
-  ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
   sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
@@ -124,8 +119,6 @@ Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
 /// messages to its successor and irecvs as many from its predecessor, then
 /// waits on everything — keeping burst*p completion acks in flight.
 Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
-  ActionArena arena;
-  ActionArena::Scope scope{arena};
   System sys{base_cfg(ranks)};
   sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(ranks);
@@ -159,8 +152,6 @@ Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
 /// next round — so the in-flight window stays one burst deep and the
 /// measurement tracks per-burst booking cost rather than backlog memory.
 Rate measure_egress_burst(int burst, int rounds, bool fast_paths) {
-  ActionArena arena;
-  ActionArena::Scope scope{arena};
   System sys{base_cfg(2)};
   sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(2);
@@ -195,8 +186,6 @@ double measure_grid_cells_per_s(int jobs, int cells, int rounds) {
   const benchtool::WallTimer timer;
   const ExperimentSweep sweep{jobs};
   sweep.for_each(cells, [&](int i) {
-    ActionArena arena;
-    ActionArena::Scope scope{arena};
     SystemConfig cfg = base_cfg(8);
     cfg.seed = 1000 + static_cast<std::uint64_t>(i);
     System sys{cfg};

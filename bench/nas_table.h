@@ -1,9 +1,13 @@
 // Shared helpers for the NAS table benches (Tables 1-5).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_json.h"
@@ -25,20 +29,19 @@ struct BenchArgs {
   /// --jobs=1 reproduces the historical serial path exactly (results are
   /// byte-identical at any value either way).
   int jobs = 0;
-  /// --retained: materialize whole rank programs instead of streaming
-  /// chunks (the pre-streaming default; bit-identical results, higher
-  /// peak RSS — useful for memory A/B runs).
-  bool retained = false;
 
   [[nodiscard]] int effective_jobs() const {
     return smilab::effective_jobs(jobs);
   }
 
-  [[nodiscard]] TraceMode trace_mode() const {
-    return retained ? TraceMode::kRetained : TraceMode::kStreaming;
-  }
-
-  static BenchArgs parse(int argc, char** argv) {
+  /// Parse the shared flags. `extra_flags` declares the bench's own flags,
+  /// which it reads from argv itself: an entry ending in '=' takes a value
+  /// ("--max-ranks="), any other is a bare switch ("--no-table"). Any other
+  /// `--` argument prints usage to stderr and exits 2, so a mistyped flag
+  /// never silently runs the default configuration.
+  static BenchArgs parse(
+      int argc, char** argv,
+      std::initializer_list<std::string_view> extra_flags = {}) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -48,14 +51,34 @@ struct BenchArgs {
         args.jobs = std::max(0, std::atoi(arg.c_str() + 7));
       } else if (arg.rfind("--csv=", 0) == 0) {
         args.csv_prefix = arg.substr(6);
-      } else if (arg == "--retained") {
-        args.retained = true;
       } else if (arg == "--quick") {
         args.quick = true;
         args.trials = 2;
+      } else if (arg.rfind("--", 0) == 0 && !declared(arg, extra_flags)) {
+        std::fprintf(stderr,
+                     "%s: unknown flag '%s'\nusage: %s [--trials=N] [--quick] "
+                     "[--jobs=N] [--csv=PREFIX]",
+                     argv[0], arg.c_str(), argv[0]);
+        for (const std::string_view flag : extra_flags) {
+          std::fprintf(stderr, " [%.*s%s]", static_cast<int>(flag.size()),
+                       flag.data(), flag.ends_with('=') ? "N" : "");
+        }
+        std::fprintf(stderr, "\n");
+        std::exit(2);
       }
     }
     return args;
+  }
+
+ private:
+  static bool declared(std::string_view arg,
+                       std::initializer_list<std::string_view> extra_flags) {
+    for (const std::string_view flag : extra_flags) {
+      if (flag.ends_with('=') ? arg.starts_with(flag) : arg == flag) {
+        return true;
+      }
+    }
+    return false;
   }
 };
 

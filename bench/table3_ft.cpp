@@ -3,7 +3,7 @@
 // cells the paper does not report (FT class C on 1-2 nodes with one rank
 // per node); see EXPERIMENTS.md.
 //
-// Usage: table3_ft [--trials=N] [--quick] [--jobs=N] [--retained]
+// Usage: table3_ft [--trials=N] [--quick] [--jobs=N]
 #include "nas_table.h"
 
 int main(int argc, char** argv) {
@@ -12,7 +12,6 @@ int main(int argc, char** argv) {
   NasRunOptions options;
   options.trials = args.trials;
   options.jobs = args.jobs;
-  options.trace_mode = args.trace_mode();
   benchtool::BenchJson json{"table3_ft"};
   benchtool::print_nas_table(
       "Table 3: FT with no (0), short (1) and long (2) SMM intervals",

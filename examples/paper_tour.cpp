@@ -22,7 +22,7 @@ double compute_wall(const SmiConfig& smi, int nodes, std::uint64_t seed,
   System sys{cfg};
   sys.set_online_cpus(cfg.machine.cores());  // HTT off, like Tables 1-3
   // Streamed one iteration per chunk (per-rank allreduce form): the same
-  // sequences the retained build produced, without materializing them.
+  // sequences the span-form build produces, without materializing them.
   const auto factory =
       chunked_rank_sources(nodes, [nodes, synchronizing](int) {
         return [nodes, synchronizing](int chunk, RankProgram& rp,

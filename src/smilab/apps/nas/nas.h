@@ -85,9 +85,10 @@ struct NasKnob {
   std::int64_t iter_pad_ns = 0;     ///< added to each iteration's compute
 };
 
-/// Build the per-rank traces for a cell under the given knobs (retained
-/// mode; loops emit_nas_chunk per rank, so retained and streaming programs
-/// are the same sequence by construction).
+/// Build the whole per-rank traces for a cell under the given knobs: the
+/// reference build that tests and engine_microbench run through
+/// run_mpi_job. It loops emit_nas_chunk per rank, so it and the streaming
+/// sources are the same sequence by construction.
 [[nodiscard]] std::vector<RankProgram> build_nas_trace(const NasJobSpec& spec,
                                                        const NasKnob& knob);
 
@@ -99,7 +100,7 @@ struct NasKnob {
 /// Append chunk `chunk` (0-based) of rank `rp.rank()`'s program to `rp`,
 /// advancing that rank's private tag stream. Returns false (appending
 /// nothing) once `chunk` is past nas_chunk_count. Every rank's allocator
-/// advances in lockstep, so per-rank tag sequences match the retained
+/// advances in lockstep, so per-rank tag sequences match the whole-program
 /// shared-allocator build exactly.
 [[nodiscard]] bool emit_nas_chunk(const NasJobSpec& spec, const NasKnob& knob,
                                   int chunk, RankProgram& rp,

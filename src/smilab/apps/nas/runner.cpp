@@ -19,7 +19,7 @@ namespace smilab {
 
 double simulate_nas_once(const NasJobSpec& spec, const NasKnob& knob,
                          const SmiConfig& smi, std::uint64_t seed,
-                         double node_speed_sigma, TraceMode mode) {
+                         double node_speed_sigma) {
   SystemConfig cfg;
   cfg.machine = MachineSpec::wyeast_e5520();
   cfg.node_count = spec.nodes;
@@ -34,15 +34,9 @@ double simulate_nas_once(const NasJobSpec& spec, const NasKnob& knob,
   const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
   const std::string name =
       std::string(to_string(spec.bench)) + "." + to_string(spec.cls);
-  if (mode == TraceMode::kStreaming) {
-    const MpiJobResult result = run_mpi_job_streaming(
-        sys, spec.ranks(), make_nas_rank_sources(spec, knob), placement,
-        WorkloadProfile::dense_fp(), name);
-    return result.elapsed.seconds();
-  }
-  auto programs = build_nas_trace(spec, knob);
-  const MpiJobResult result = run_mpi_job(
-      sys, std::move(programs), placement, WorkloadProfile::dense_fp(), name);
+  const MpiJobResult result = run_mpi_job_streaming(
+      sys, spec.ranks(), make_nas_rank_sources(spec, knob), placement,
+      WorkloadProfile::dense_fp(), name);
   return result.elapsed.seconds();
 }
 
@@ -208,7 +202,7 @@ NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options)
             options.seed * 2654435761u + static_cast<std::uint64_t>(k) * 97 +
             static_cast<std::uint64_t>(trial) * 1013904223u + (spec.htt ? 7 : 0);
         return simulate_nas_once(spec, result.knob, smi, seed,
-                                 options.node_speed_sigma, options.trace_mode);
+                                 options.node_speed_sigma);
       });
   for (int k = 0; k < 3; ++k) {
     for (int trial = 0; trial < options.trials; ++trial) {

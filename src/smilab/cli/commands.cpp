@@ -2,8 +2,10 @@
 
 #include <csignal>
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "smilab/apps/convolve/workload.h"
 #include "smilab/apps/nas/nas.h"
@@ -16,7 +18,7 @@
 #include "smilab/mc/explorer.h"
 #include "smilab/mc/schedule_trace.h"
 #include "smilab/mpi/job.h"
-#include "smilab/mpi/program.h"
+#include "smilab/mpi/streaming.h"
 #include "smilab/noise/hwlat.h"
 #include "smilab/serve/server.h"
 #include "smilab/sim/system.h"
@@ -34,11 +36,9 @@ usage: smilab <command> [--flag=value ...]
 commands:
   nas        --workload=ep|bt|ft --class=A|B|C [--nodes=N] [--ranks-per-node=1|4]
              [--htt] [--smi=none|short|long] [--interval-ms=N] [--trials=N]
-             [--seed=N] [--jobs=N] [--retained]
+             [--seed=N] [--jobs=N]
              Run one NAS table cell (calibrated against the paper baseline)
-             under the chosen SMI regime. Programs stream chunk-by-chunk by
-             default (peak RSS O(ranks)); --retained materializes whole
-             rank programs (bit-identical results).
+             under the chosen SMI regime.
   convolve   [--case=cf|cu] [--cpus=1..8] [--smi=none|short|long]
              [--gap-ms=N] [--seed=N]
              The Figure-1 multithreaded convolution at one sweep point.
@@ -88,9 +88,18 @@ exit codes: 0 success, 2 usage error, 3 the simulation itself faulted
 (deadlock / hang / max_sim_time / invalid configuration).
 )";
 
+// Integer flag ranges. Every count that ends up in an int stays within
+// INT_MAX; seeds and the SMI gap take serve's request bounds.
+constexpr long long kMaxSeed = std::numeric_limits<std::int64_t>::max();
+constexpr long long kMaxGapMs = 3'600'000;
+constexpr long long kMaxNodes = 65'536;
+constexpr long long kMaxJobs = 1024;
+
 SmiConfig smi_from(const Options& options, std::string* error) {
   const std::string kind = options.get("smi", "long");
-  const auto gap = options.get_int("gap-ms", options.get_int("interval-ms", 1000, error), error);
+  const auto gap = options.get_int(
+      "gap-ms", options.get_int("interval-ms", 1000, 1, kMaxGapMs, error), 1,
+      kMaxGapMs, error);
   if (kind == "none") return SmiConfig::none();
   if (kind == "short") return SmiConfig::short_with_gap(gap);
   if (kind == "long") return SmiConfig::long_with_gap(gap);
@@ -139,16 +148,17 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
   else if (cls == "C") spec.cls = NasClass::kC;
   else return fail(err, "unknown --class '" + cls + "' (A|B|C)");
 
-  spec.nodes = static_cast<int>(options.get_int("nodes", 4, &error));
+  spec.nodes =
+      static_cast<int>(options.get_int("nodes", 4, 1, kMaxNodes, &error));
   spec.ranks_per_node =
-      static_cast<int>(options.get_int("ranks-per-node", 1, &error));
+      static_cast<int>(options.get_int("ranks-per-node", 1, 1, 8, &error));
   spec.htt = options.get_bool("htt", false);
-  const auto trials = static_cast<int>(options.get_int("trials", 3, &error));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 2016, &error));
-  const auto jobs = static_cast<int>(options.get_int("jobs", 1, &error));
-  const TraceMode mode = options.get_bool("retained", false)
-                             ? TraceMode::kRetained
-                             : TraceMode::kStreaming;
+  const auto trials =
+      static_cast<int>(options.get_int("trials", 3, 1, 10'000, &error));
+  const auto seed = static_cast<std::uint64_t>(
+      options.get_int("seed", 2016, 0, kMaxSeed, &error));
+  const auto jobs =
+      static_cast<int>(options.get_int("jobs", 1, 0, kMaxJobs, &error));
   const SmiConfig smi = smi_from(options, &error);
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
@@ -166,8 +176,7 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
   const std::vector<double> runs = sweep.map<double>(2 * trials, [&](int i) {
     const SmiConfig& cfg = (i % 2 == 0) ? SmiConfig::none() : smi;
     return simulate_nas_once(spec, knob, cfg,
-                             seed + static_cast<std::uint64_t>(i / 2), 0.003,
-                             mode);
+                             seed + static_cast<std::uint64_t>(i / 2), 0.003);
   });
   OnlineStats base, noisy;
   for (int t = 0; t < trials; ++t) {
@@ -198,12 +207,12 @@ int cmd_convolve(const Options& options, std::ostream& out, std::ostream& err) {
   if (which == "cf") workload = ConvolveWorkload::cache_friendly_workload();
   else if (which == "cu") workload = ConvolveWorkload::cache_unfriendly_workload();
   else return fail(err, "unknown --case '" + which + "' (cf|cu)");
-  const auto cpus = static_cast<int>(options.get_int("cpus", 8, &error));
-  const auto seed = static_cast<std::uint64_t>(options.get_int("seed", 1, &error));
+  const auto cpus = static_cast<int>(options.get_int("cpus", 8, 1, 8, &error));
+  const auto seed = static_cast<std::uint64_t>(
+      options.get_int("seed", 1, 0, kMaxSeed, &error));
   const SmiConfig smi = smi_from(options, &error);
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
-  if (cpus < 1 || cpus > 8) return fail(err, "--cpus must be 1..8");
 
   const auto base = run_convolve_sim(workload, cpus, SmiConfig::none(), seed);
   const auto noisy = run_convolve_sim(workload, cpus, smi, seed);
@@ -220,14 +229,13 @@ int cmd_convolve(const Options& options, std::ostream& out, std::ostream& err) {
 int cmd_unixbench(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
   UnixBenchOptions ub;
-  ub.online_cpus = static_cast<int>(options.get_int("cpus", 8, &error));
-  ub.seed = static_cast<std::uint64_t>(options.get_int("seed", 1, &error));
+  ub.online_cpus =
+      static_cast<int>(options.get_int("cpus", 8, 1, 8, &error));
+  ub.seed = static_cast<std::uint64_t>(
+      options.get_int("seed", 1, 0, kMaxSeed, &error));
   const SmiConfig smi = smi_from(options, &error);
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
-  if (ub.online_cpus < 1 || ub.online_cpus > 8) {
-    return fail(err, "--cpus must be 1..8");
-  }
 
   const UnixBenchResult clean = run_unixbench(ub);
   ub.smi = smi;
@@ -246,9 +254,12 @@ int cmd_unixbench(const Options& options, std::ostream& out, std::ostream& err) 
 int cmd_detect(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
   HwlatConfig config;
-  config.duration = seconds(options.get_int("duration-s", 30, &error));
-  config.window = milliseconds(options.get_int("window-ms", 500, &error));
-  config.period = milliseconds(options.get_int("period-ms", 1000, &error));
+  config.duration =
+      seconds(options.get_int("duration-s", 30, 1, 86'400, &error));
+  config.window =
+      milliseconds(options.get_int("window-ms", 500, 1, kMaxGapMs, &error));
+  config.period =
+      milliseconds(options.get_int("period-ms", 1000, 1, kMaxGapMs, &error));
   const SmiConfig smi = smi_from(options, &error);
   (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
@@ -276,9 +287,11 @@ int cmd_rim(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
   RimConfig rim;
   rim.scanned_bytes = options.get_double("scan-mb", 16.0, &error) * 1e6;
-  rim.check_interval_jiffies = options.get_int("interval-ms", 1000, &error);
+  rim.check_interval_jiffies =
+      options.get_int("interval-ms", 1000, 1, kMaxGapMs, &error);
   const double total_mb = options.get_double("total-mb", 256.0, &error);
-  const auto nodes = static_cast<int>(options.get_int("nodes", 1, &error));
+  const auto nodes =
+      static_cast<int>(options.get_int("nodes", 1, 1, kMaxNodes, &error));
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
 
@@ -345,8 +358,8 @@ bool parse_fields(const std::string& spec, const char* flag,
 }
 
 /// Parse a comma-separated list of "a:b:c" specs, calling `add` per spec.
-/// The Options map is last-wins for repeated flags, so the list form is the
-/// only way to express several faults of one kind in a single command.
+/// A repeated flag is a usage error, so the list form is the only way to
+/// express several faults of one kind in a single command.
 template <typename Add>
 bool parse_spec_list(const std::string& list, const char* flag,
                      std::size_t expected, std::string* error, Add add) {
@@ -366,17 +379,20 @@ bool parse_spec_list(const std::string& list, const char* flag,
 
 int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
-  const auto nodes = static_cast<int>(options.get_int("nodes", 4, &error));
-  const auto iters = static_cast<int>(options.get_int("iters", 200, &error));
-  const auto bytes = options.get_int("bytes", 32 * 1024, &error);
-  const auto seed =
-      static_cast<std::uint64_t>(options.get_int("seed", 1, &error));
+  // A ring needs two ranks to exchange anything.
+  const auto nodes =
+      static_cast<int>(options.get_int("nodes", 4, 2, kMaxNodes, &error));
+  const auto iters = static_cast<int>(options.get_int(
+      "iters", 200, 1, std::numeric_limits<int>::max(), &error));
+  const auto bytes = options.get_int("bytes", 32 * 1024, 0, 1 << 30, &error);
+  const auto seed = static_cast<std::uint64_t>(
+      options.get_int("seed", 1, 0, kMaxSeed, &error));
   const double hang_timeout_s =
       options.get_double("hang-timeout-s", 10.0, &error);
   const std::string smi_kind = options.get("smi", "none");
-  const auto gap =
-      options.get_int("gap-ms", options.get_int("interval-ms", 1000, &error),
-                      &error);
+  const auto gap = options.get_int(
+      "gap-ms", options.get_int("interval-ms", 1000, 1, kMaxGapMs, &error), 1,
+      kMaxGapMs, &error);
 
   FaultPlan plan;
   if (const std::string s = options.get("freeze", ""); !s.empty()) {
@@ -419,8 +435,6 @@ int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
   (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
-  if (nodes < 2) return fail(err, "--nodes must be >= 2 (ring exchange)");
-  if (iters < 1) return fail(err, "--iters must be >= 1");
 
   SystemConfig cfg;
   cfg.node_count = nodes;
@@ -434,27 +448,12 @@ int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
   System sys{cfg};
   const FaultInjector injector{sys, plan};
 
-  // Ring halo exchange: compute, then swap with both neighbours, per
-  // iteration — every rank depends on every other within a few steps, so
-  // any injected fault propagates job-wide.
-  auto programs = make_rank_programs(nodes);
-  TagAllocator tags;
-  for (int it = 0; it < iters; ++it) {
-    const int tag = tags.allocate(2);
-    for (auto& prog : programs) {
-      const int r = prog.rank();
-      const int next = (r + 1) % nodes;
-      const int prev = (r + nodes - 1) % nodes;
-      prog.compute(microseconds(500));
-      prog.sendrecv(next, bytes, tag, prev, tag);
-      prog.sendrecv(prev, bytes, tag + 1, next, tag + 1);
-    }
-  }
   std::vector<int> placement(static_cast<std::size_t>(nodes));
   for (int r = 0; r < nodes; ++r) placement[static_cast<std::size_t>(r)] = r;
 
-  const MpiJobRunResult result = try_run_mpi_job(
-      sys, std::move(programs), placement, WorkloadProfile{}, "ring");
+  const MpiJobRunResult result = try_run_mpi_job_streaming(
+      sys, nodes, ring_exchange_sources(nodes, iters, bytes), placement,
+      WorkloadProfile{}, "ring");
 
   out << "ring exchange: " << nodes << " rank(s), " << iters
       << " iteration(s), " << bytes << " B per hop\n";
@@ -489,17 +488,17 @@ int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
 int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
   serve::ServiceConfig cfg;
-  cfg.workers = static_cast<int>(options.get_int("workers", 0, &error));
+  cfg.workers =
+      static_cast<int>(options.get_int("workers", 0, 0, kMaxJobs, &error));
   cfg.cache_bytes = static_cast<std::int64_t>(
       options.get_double("cache-mb", 64.0, &error) * 1e6);
   cfg.cache_shards =
-      static_cast<int>(options.get_int("cache-shards", 16, &error));
+      static_cast<int>(options.get_int("cache-shards", 16, 1, 4096, &error));
   const bool stdin_batch = options.get_bool("stdin-batch", false);
   const std::string socket_path = options.get("socket", "@smilab-serve");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
   if (cfg.cache_bytes < 0) return fail(err, "--cache-mb must be >= 0");
-  if (cfg.cache_shards < 1) return fail(err, "--cache-shards must be >= 1");
 
   serve::SweepService service{cfg};
   if (stdin_batch) {
@@ -573,16 +572,15 @@ int cmd_check(const Options& options, std::ostream& out, std::ostream& err) {
   const std::string program = options.get("program", "");
   const bool list = options.get_bool("list", false);
   const auto max_schedules = options.get_int(
-      "max-schedules", static_cast<long long>(mc::kCorpusMaxSchedules),
-      &error);
+      "max-schedules", static_cast<long long>(mc::kCorpusMaxSchedules), 1,
+      std::numeric_limits<long long>::max(), &error);
   const auto max_depth = options.get_int(
-      "max-depth", static_cast<long long>(mc::kCorpusMaxDepth), &error);
+      "max-depth", static_cast<long long>(mc::kCorpusMaxDepth), 1,
+      std::numeric_limits<long long>::max(), &error);
   const bool no_prune = options.get_bool("no-prune", false);
   const std::string replay_token = options.get("replay", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
-  if (max_schedules < 1) return fail(err, "--max-schedules must be >= 1");
-  if (max_depth < 1) return fail(err, "--max-depth must be >= 1");
 
   if (list) {
     for (const mc::McCase& c : mc::corpus()) {

@@ -1,5 +1,6 @@
 #include "smilab/cli/options.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace smilab {
@@ -45,15 +46,23 @@ std::string Options::get(const std::string& key,
 }
 
 long long Options::get_int(const std::string& key, long long fallback,
+                           long long lo, long long hi,
                            std::string* error) const {
   consumed_[key] = true;
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     if (error) *error = "flag --" + key + " expects an integer, got '" +
                         it->second + "'";
+    return fallback;
+  }
+  if (errno == ERANGE || value < lo || value > hi) {
+    if (error) *error = "flag --" + key + " must be an integer in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "], got '" + it->second + "'";
     return fallback;
   }
   return value;

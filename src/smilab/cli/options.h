@@ -25,7 +25,11 @@ class Options {
   }
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// An integer flag in the inclusive range [lo, hi]. A malformed or
+  /// out-of-range value sets *error (naming the flag and the range) and
+  /// returns `fallback`.
   [[nodiscard]] long long get_int(const std::string& key, long long fallback,
+                                  long long lo, long long hi,
                                   std::string* error) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback,
                                   std::string* error) const;

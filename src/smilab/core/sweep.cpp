@@ -7,8 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "smilab/trace/action_arena.h"
-
 namespace smilab {
 
 int effective_jobs(int requested) {
@@ -30,13 +28,6 @@ struct SweepPool::Impl {
   std::vector<std::thread> threads;  // guarded_by(init)
 
   void worker() {
-    // Each worker owns its arena for the THREAD's lifetime (the current-
-    // resource pointer is thread-local): jobs never share allocation state
-    // across threads, results stay bit-identical at any worker count, and
-    // chunk storage stays warm across jobs — the serve daemon's warm-worker
-    // path and the sweep's per-cell recycling are the same mechanism.
-    ActionArena arena;
-    const ActionArena::Scope scope{arena};
     std::unique_lock<std::mutex> lock{mu};
     for (;;) {
       work_cv.wait(lock, [&] { return stop || !queue.empty(); });
@@ -51,7 +42,6 @@ struct SweepPool::Impl {
         const std::lock_guard<std::mutex> elock{mu};
         if (!first_error) first_error = std::current_exception();
       }
-      arena.reset();
       lock.lock();
       --running;
       if (queue.empty() && running == 0) idle_cv.notify_all();
@@ -102,24 +92,14 @@ void ExperimentSweep::for_each(int cells,
   if (cells <= 0) return;
   const int workers = std::min(jobs_, cells);
   if (workers <= 1) {
-    // The historical serial path: same thread, same order, no pool. One
-    // arena serves every cell: traces bump-allocate into it, and reset()
-    // after each cell (the cell's System and programs are gone by then)
-    // recycles the chunks so later cells never touch the heap.
-    ActionArena arena;
-    const ActionArena::Scope scope{arena};
-    for (int i = 0; i < cells; ++i) {
-      fn(i);
-      arena.reset();
-    }
+    // The historical serial path: same thread, same order, no pool.
+    for (int i = 0; i < cells; ++i) fn(i);
     return;
   }
 
   // One drainer job per worker, pulling cell indices from a shared atomic
   // counter — the same work-stealing structure the dedicated-thread
   // implementation used, now running on the shared SweepPool worker loop.
-  // (The pool resets each worker's arena after the drainer returns; the
-  // per-cell resets below keep memory bounded within the batch.)
   std::atomic<int> next{0};
   std::atomic<bool> abort{false};
   SweepPool pool{workers};
@@ -134,7 +114,6 @@ void ExperimentSweep::for_each(int cells,
           abort.store(true, std::memory_order_relaxed);
           throw;  // SweepPool records the first exception for drain()
         }
-        ActionArena::reset_current();
       }
     });
   }

@@ -12,12 +12,10 @@
 // produce identical bytes; jobs=1 runs inline on the calling thread with no
 // pool at all (exactly the historical serial path).
 //
-// SweepPool is the persistent form of the same worker loop: each worker
-// thread owns one warm ActionArena for the thread's whole lifetime (reset —
-// chunks retained — after every job), so a long-lived consumer like
-// `smilab serve` reuses trace storage across thousands of requests instead
-// of re-growing an arena per batch. ExperimentSweep::for_each runs its
-// batches on a transient SweepPool, so both paths share one worker loop.
+// SweepPool is the persistent form of the same worker loop: its threads
+// outlive any one batch, so a long-lived consumer like `smilab serve` keeps
+// warm workers across thousands of requests. ExperimentSweep::for_each runs
+// its batches on a transient SweepPool, so both paths share one worker loop.
 #pragma once
 
 #include <functional>
@@ -30,11 +28,8 @@ namespace smilab {
 /// negative, the "default" sentinel) becomes hardware concurrency.
 [[nodiscard]] int effective_jobs(int requested);
 
-/// Persistent worker pool with warm per-worker trace arenas.
+/// Persistent worker pool.
 ///
-/// Each worker thread installs an ActionArena::Scope for its lifetime and
-/// resets the arena (retaining chunk storage) after every job, so steady-
-/// state jobs bump-allocate their whole trace without touching the heap.
 /// Jobs are drained FIFO; completion is observable via drain(). A job that
 /// throws records the first exception, which drain() (and the destructor's
 /// implicit drain) rethrows — matching ExperimentSweep's first-error

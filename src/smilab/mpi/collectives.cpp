@@ -234,9 +234,7 @@ void alltoall_nonblocking_rank(RankProgram& rp, int p,
   if (p <= 1) return;
   const int base = tags.allocate(p);
   const int r = rp.rank();
-  // Arena-backed (when a Scope is active) so the list is adopted by the
-  // WaitAll action without a copy.
-  std::pmr::vector<int> handles{ActionArena::current()};
+  std::vector<int> handles;
   handles.reserve(static_cast<std::size_t>(2 * (p - 1)));
   // Post every receive first (pre-posted matches avoid unexpected-queue
   // copies in real MPI; here it exercises the posted-queue path).

@@ -22,7 +22,7 @@ namespace smilab {
 // Every collective comes in two forms:
 //
 //   span form      — append to every rank of a materialized program vector
-//                    (the retained build path, unchanged semantics);
+//                    (whole-program builds: tests, examples, benches);
 //   per-rank form  — append ONE rank's share of the collective to a single
 //                    RankProgram, advancing that rank's TagAllocator.
 //

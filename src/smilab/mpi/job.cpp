@@ -7,15 +7,13 @@ namespace smilab {
 
 namespace {
 
-/// Shared spawn path: create the group and one spin-waiting task per rank,
-/// with the rank's ActionSource supplied by `source_for` (retained:
-/// VectorActions over the materialized program; streaming: whatever the
-/// RankSourceFactory builds — the only difference between the two modes).
-template <typename SourceFor>
+/// Create the group and one spin-waiting task per rank, with the rank's
+/// ActionSource built by `sources`.
 MpiJobResult spawn_mpi_job(System& sys, int nranks,
                            const std::vector<int>& placement,
                            const WorkloadProfile& profile,
-                           const std::string& job_name, SourceFor&& source_for) {
+                           const std::string& job_name,
+                           const RankSourceFactory& sources) {
   assert(nranks >= 1);
   if (placement.size() != static_cast<std::size_t>(nranks)) {
     throw std::invalid_argument("placement size != rank count");
@@ -30,23 +28,19 @@ MpiJobResult spawn_mpi_job(System& sys, int nranks,
     spec.node = placement[static_cast<std::size_t>(r)];
     spec.profile = profile;
     spec.wait_policy = WaitPolicy::kSpin;  // MPI busy-polls by default
-    spec.actions = source_for(r);
+    spec.actions = sources(r);
     result.rank_tasks.push_back(
         sys.spawn_member(result.group, r, std::move(spec)));
   }
   return result;
 }
 
-MpiJobResult spawn_retained(System& sys, std::vector<RankProgram>& programs,
-                            const std::vector<int>& placement,
-                            const WorkloadProfile& profile,
-                            const std::string& job_name) {
-  return spawn_mpi_job(
-      sys, static_cast<int>(programs.size()), placement, profile, job_name,
-      [&](int r) {
-        return std::make_unique<VectorActions>(
-            programs[static_cast<std::size_t>(r)].take());
-      });
+/// Whole programs as rank sources: rank r's source takes programs[r].
+RankSourceFactory program_sources(std::vector<RankProgram>& programs) {
+  return [&programs](int r) -> std::unique_ptr<ActionSource> {
+    return std::make_unique<VectorActions>(
+        programs[static_cast<std::size_t>(r)].take());
+  };
 }
 
 void collect_rank_stats(const System& sys, MpiJobResult& result) {
@@ -87,19 +81,18 @@ MpiJobResult run_mpi_job(System& sys, std::vector<RankProgram> programs,
                          const std::vector<int>& placement,
                          const WorkloadProfile& profile,
                          const std::string& job_name) {
-  const SimTime start = sys.now();
-  return finish_run(
-      sys, spawn_retained(sys, programs, placement, profile, job_name), start);
+  return run_mpi_job_streaming(sys, static_cast<int>(programs.size()),
+                               program_sources(programs), placement, profile,
+                               job_name);
 }
 
 MpiJobRunResult try_run_mpi_job(System& sys, std::vector<RankProgram> programs,
                                 const std::vector<int>& placement,
                                 const WorkloadProfile& profile,
                                 const std::string& job_name) {
-  const SimTime start = sys.now();
-  MpiJobRunResult out;
-  out.job = spawn_retained(sys, programs, placement, profile, job_name);
-  return finish_try_run(sys, std::move(out), start);
+  return try_run_mpi_job_streaming(sys, static_cast<int>(programs.size()),
+                                   program_sources(programs), placement,
+                                   profile, job_name);
 }
 
 MpiJobResult run_mpi_job_streaming(System& sys, int nranks,
@@ -108,10 +101,9 @@ MpiJobResult run_mpi_job_streaming(System& sys, int nranks,
                                    const WorkloadProfile& profile,
                                    const std::string& job_name) {
   const SimTime start = sys.now();
-  return finish_run(sys,
-                    spawn_mpi_job(sys, nranks, placement, profile, job_name,
-                                  [&](int r) { return sources(r); }),
-                    start);
+  return finish_run(
+      sys, spawn_mpi_job(sys, nranks, placement, profile, job_name, sources),
+      start);
 }
 
 MpiJobRunResult try_run_mpi_job_streaming(System& sys, int nranks,
@@ -121,8 +113,7 @@ MpiJobRunResult try_run_mpi_job_streaming(System& sys, int nranks,
                                           const std::string& job_name) {
   const SimTime start = sys.now();
   MpiJobRunResult out;
-  out.job = spawn_mpi_job(sys, nranks, placement, profile, job_name,
-                          [&](int r) { return sources(r); });
+  out.job = spawn_mpi_job(sys, nranks, placement, profile, job_name, sources);
   return finish_try_run(sys, std::move(out), start);
 }
 

@@ -11,18 +11,6 @@
 
 namespace smilab {
 
-/// How a job's rank programs are held in memory. Retained is the historical
-/// bit-pinned path (whole program materialized per rank); streaming holds
-/// one chunk per rank (mpi/streaming.h) and produces identical statistics.
-enum class TraceMode {
-  kRetained,
-  kStreaming,
-};
-
-[[nodiscard]] constexpr const char* to_string(TraceMode mode) {
-  return mode == TraceMode::kRetained ? "retained" : "streaming";
-}
-
 struct MpiJobResult {
   SimDuration elapsed;               ///< start -> last rank finish
   GroupId group;
@@ -41,6 +29,11 @@ struct MpiJobResult {
 
 /// Spawn `programs[r]` as rank r on node `placement[r]` and run the system
 /// until every task (including unrelated ones) finishes.
+///
+/// A convenience for tests, examples and benches that build whole programs
+/// up front: it adapts each program into a source that yields its actions
+/// and calls run_mpi_job_streaming. Product paths stream their programs
+/// chunk by chunk instead, so a job's memory stays O(ranks).
 MpiJobResult run_mpi_job(System& sys, std::vector<RankProgram> programs,
                          const std::vector<int>& placement,
                          const WorkloadProfile& profile,
@@ -59,16 +52,15 @@ struct MpiJobRunResult {
 
 /// Non-throwing variant of run_mpi_job for fault-injection experiments: a
 /// deadlocked, hung or timed-out run returns the structured diagnosis
-/// instead of propagating SimulationError.
+/// instead of propagating SimulationError. The same convenience adapter
+/// over try_run_mpi_job_streaming.
 MpiJobRunResult try_run_mpi_job(System& sys, std::vector<RankProgram> programs,
                                 const std::vector<int>& placement,
                                 const WorkloadProfile& profile,
                                 const std::string& job_name = "mpi");
 
-/// Streaming launcher: spawn `nranks` ranks whose actions come from
-/// `sources(rank)` (typically ChunkedProgramSources) instead of
-/// materialized programs. Scheduling, placement and stats collection are
-/// identical to run_mpi_job; only program residency differs.
+/// The job launcher: spawn `nranks` ranks whose actions come from
+/// `sources(rank)` (typically ChunkedProgramSources, mpi/streaming.h).
 MpiJobResult run_mpi_job_streaming(System& sys, int nranks,
                                    const RankSourceFactory& sources,
                                    const std::vector<int>& placement,

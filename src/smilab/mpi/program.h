@@ -78,37 +78,25 @@ class RankProgram {
     actions_.push_back(Irecv{kAnySource, tag, handle});
   }
   void waitall(std::vector<int> handles) {
-    actions_.push_back(Action{WaitAll{handles}});
-  }
-  void waitall(std::initializer_list<int> handles) {
-    actions_.push_back(Action{WaitAll{handles}});
-  }
-  /// Arena-friendly overload: an already-pmr handle list is adopted without
-  /// copying (used by the nonblocking collective lowerings).
-  void waitall(std::pmr::vector<int> handles) {
     actions_.push_back(Action{WaitAll{std::move(handles)}});
   }
 
   [[nodiscard]] std::size_t size() const { return actions_.size(); }
-  [[nodiscard]] const std::pmr::vector<Action>& actions() const {
-    return actions_;
-  }
+  [[nodiscard]] const std::vector<Action>& actions() const { return actions_; }
 
   /// Move the built trace out (the builder is spent afterwards).
-  [[nodiscard]] std::pmr::vector<Action> take() { return std::move(actions_); }
+  [[nodiscard]] std::vector<Action> take() { return std::move(actions_); }
 
   // Streaming support (mpi/streaming.h): a ChunkedProgramSource reuses one
   // builder as its per-chunk buffer, clearing between refills so capacity
   // is retained and chunk storage never grows with chunk count.
   void clear() { actions_.clear(); }
-  [[nodiscard]] std::pmr::vector<Action>& mutable_actions() { return actions_; }
+  [[nodiscard]] std::vector<Action>& mutable_actions() { return actions_; }
 
  private:
   int rank_;
   int nranks_;
-  // Arena-backed when an ActionArena::Scope is active at construction time
-  // (sweeps install one per grid cell); plain heap otherwise.
-  std::pmr::vector<Action> actions_{ActionArena::current()};
+  std::vector<Action> actions_;
 };
 
 /// Create one builder per rank.

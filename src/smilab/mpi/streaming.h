@@ -1,22 +1,19 @@
 // Streaming program sources: a rank's trace produced chunk by chunk with
 // O(1) retained state, so a job's memory is O(ranks), not O(ranks x actions).
+// Every product MPI job runs this way.
 //
-// The retained path materializes every rank's full program up front
-// (RankProgram -> VectorActions) and keeps it in the ActionArena until the
-// run ends; that caps rank counts long before CPU does (ROADMAP item 2). A
-// ChunkedProgramSource instead owns one reusable RankProgram buffer and a
-// private TagAllocator, and re-runs an iteration-body emitter per chunk:
-// the same emitter the retained builder loops over, so the per-rank action
-// and tag sequences are bit-identical — the streaming/retained equality
+// A ChunkedProgramSource owns one reusable RankProgram buffer and a private
+// TagAllocator, and re-runs an iteration-body emitter per chunk. Looping the
+// same emitter to completion builds the whole program (the reference build
+// that tests and microbenches run through run_mpi_job), so the per-rank
+// action and tag sequences are bit-identical either way — the equality
 // suite (tests/streaming_equality_test.cpp) pins it.
 //
 // Memory discipline: the buffer's vector is cleared (capacity retained)
-// between refills, so steady-state refills allocate nothing. Chunk bodies
-// should avoid WaitAll when the source lives inside an arena Scope: WaitAll
-// handle lists bump-allocate from the arena per chunk, and arena
-// deallocation is a no-op until the cell resets (see DESIGN.md §13).
+// between refills, so steady-state refills allocate nothing.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -30,8 +27,8 @@ namespace smilab {
 class ChunkedProgramSource final : public ActionSource {
  public:
   /// Append chunk `chunk` (0-based) of this rank's program to `rp`,
-  /// advancing `tags` exactly as the retained builder would have by the end
-  /// of that chunk. Return false (appending nothing) when `chunk` is past
+  /// advancing `tags` exactly as the whole-program build would have by the
+  /// end of that chunk. Return false (appending nothing) when `chunk` is past
   /// the end of the program. Called with strictly increasing chunk indices.
   // smilint: allow(std-function) reason=called once per chunk refill, not per event; chunk granularity amortizes the indirect call
   using ChunkEmitter = std::function<bool(int chunk, RankProgram& rp,
@@ -86,6 +83,26 @@ using RankSourceFactory =  // smilint: allow(std-function) reason=called once pe
     return std::make_unique<ChunkedProgramSource>(rank, nranks,
                                                   emitter_for_rank(rank));
   };
+}
+
+/// Ring halo exchange, one iteration per chunk: every rank computes 500 us,
+/// then sendrecvs `bytes` with both neighbours. Every rank depends on every
+/// other within a few iterations, so noise or a fault on one node spreads
+/// job-wide. The `smilab faults` job and serve's ring experiment.
+[[nodiscard]] inline RankSourceFactory ring_exchange_sources(
+    int nranks, int iters, std::int64_t bytes) {
+  return chunked_rank_sources(nranks, [=](int rank) {
+    return [=](int chunk, RankProgram& rp, TagAllocator& tags) {
+      if (chunk >= iters) return false;
+      const int tag = tags.allocate(2);
+      const int next = (rank + 1) % nranks;
+      const int prev = (rank + nranks - 1) % nranks;
+      rp.compute(microseconds(500));
+      rp.sendrecv(next, bytes, tag, prev, tag);
+      rp.sendrecv(prev, bytes, tag + 1, next, tag + 1);
+      return true;
+    };
+  });
 }
 
 }  // namespace smilab

@@ -37,10 +37,8 @@ void warm_save(const System& sys) { t_warm_net = sys.network(); }
 
 // --- Experiment runners -----------------------------------------------------
 
-/// Ring halo exchange (the `smilab faults` workload, fault-free), streamed:
-/// each rank's program is produced chunk-by-chunk, one iteration per chunk.
-/// Every rank allocates the same tag count per chunk, so the per-rank
-/// private tag streams stay congruent across ranks.
+/// Ring halo exchange (the `smilab faults` workload, fault-free), one rank
+/// per node.
 std::string run_ring(const ExperimentRequest& req) {
   SystemConfig cfg;
   cfg.node_count = req.ring_nodes;
@@ -50,25 +48,13 @@ std::string run_ring(const ExperimentRequest& req) {
   warm_apply(sys);
 
   const int nodes = req.ring_nodes;
-  const int iters = req.ring_iters;
-  const std::int64_t bytes = req.ring_bytes;
-  const auto factory = chunked_rank_sources(nodes, [=](int rank) {
-    return [=](int chunk, RankProgram& rp, TagAllocator& tags) {
-      if (chunk >= iters) return false;
-      const int tag = tags.allocate(2);
-      const int next = (rank + 1) % nodes;
-      const int prev = (rank + nodes - 1) % nodes;
-      rp.compute(microseconds(500));
-      rp.sendrecv(next, bytes, tag, prev, tag);
-      rp.sendrecv(prev, bytes, tag + 1, next, tag + 1);
-      return true;
-    };
-  });
   std::vector<int> placement(static_cast<std::size_t>(nodes));
   for (int r = 0; r < nodes; ++r) placement[static_cast<std::size_t>(r)] = r;
 
   const MpiJobResult job = run_mpi_job_streaming(
-      sys, nodes, factory, placement, WorkloadProfile{}, "serve-ring");
+      sys, nodes,
+      ring_exchange_sources(nodes, req.ring_iters, req.ring_bytes), placement,
+      WorkloadProfile{}, "serve-ring");
   warm_save(sys);
 
   std::int64_t smi_hits = 0;
@@ -98,16 +84,14 @@ std::string run_ring(const ExperimentRequest& req) {
 }
 
 /// One NAS table cell: `trials` paired (no-SMI, requested-regime) runs on
-/// shared per-trial seeds, streamed programs throughout.
+/// shared per-trial seeds.
 std::string run_nas(const ExperimentRequest& req) {
   const NasKnob knob = calibrate_nas_knob(req.nas);
   OnlineStats base, noisy;
   for (int t = 0; t < req.nas_trials; ++t) {
     const std::uint64_t seed = req.seed + static_cast<std::uint64_t>(t);
-    base.add(simulate_nas_once(req.nas, knob, SmiConfig::none(), seed, 0.003,
-                               TraceMode::kStreaming));
-    noisy.add(simulate_nas_once(req.nas, knob, req.smi_config(), seed, 0.003,
-                                TraceMode::kStreaming));
+    base.add(simulate_nas_once(req.nas, knob, SmiConfig::none(), seed, 0.003));
+    noisy.add(simulate_nas_once(req.nas, knob, req.smi_config(), seed, 0.003));
   }
   const double work = nas_work_units(req.nas.bench, req.nas.cls);
   JsonWriter w;

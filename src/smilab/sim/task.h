@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,7 +18,6 @@
 
 #include "smilab/cpu/workload_profile.h"
 #include "smilab/time/sim_time.h"
-#include "smilab/trace/action_arena.h"
 
 namespace smilab {
 
@@ -101,20 +99,8 @@ struct Irecv {
 };
 
 /// Block until every listed handle has completed (MPI_Waitall).
-///
-/// The handle list lives on the thread's current ActionArena (when a Scope
-/// is active), so bulk trace construction is bump-allocated; copies fall
-/// back to the default resource (polymorphic_allocator does not propagate
-/// on copy), which only costs speed, never correctness.
 struct WaitAll {
-  std::pmr::vector<int> handles;
-
-  WaitAll() : handles(ActionArena::current()) {}
-  WaitAll(std::initializer_list<int> h)
-      : handles(h.begin(), h.end(), ActionArena::current()) {}
-  explicit WaitAll(const std::vector<int>& h)
-      : handles(h.begin(), h.end(), ActionArena::current()) {}
-  explicit WaitAll(std::pmr::vector<int> h) : handles(std::move(h)) {}
+  std::vector<int> handles;
 };
 
 /// Invoke a callback at the point this action is reached, without consuming
@@ -146,16 +132,12 @@ class ActionSource {
   [[nodiscard]] virtual std::int64_t materialized_actions() const { return 0; }
 };
 
-/// Vector-backed source: a fully materialized program (MPI rank traces).
-/// Storage is arena-backed when a Scope is active (see WaitAll above).
+/// Vector-backed source: a fully materialized program. Product MPI jobs
+/// stream theirs (mpi/streaming.h); whole rank programs reach this class
+/// only through run_mpi_job, the adapter for tests, examples and benches.
 class VectorActions final : public ActionSource {
  public:
   explicit VectorActions(std::vector<Action> actions)
-      : actions_(ActionArena::current()) {
-    actions_.reserve(actions.size());
-    for (Action& a : actions) actions_.push_back(std::move(a));
-  }
-  explicit VectorActions(std::pmr::vector<Action> actions)
       : actions_(std::move(actions)) {}
 
   std::optional<Action> next() override {
@@ -170,7 +152,7 @@ class VectorActions final : public ActionSource {
   }
 
  private:
-  std::pmr::vector<Action> actions_;
+  std::vector<Action> actions_;
   std::size_t pc_ = 0;
 };
 

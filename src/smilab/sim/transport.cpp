@@ -316,15 +316,15 @@ NbHandleTable::Entry& NbHandleTable::open_slot(int id, bool is_send) {
   return e;
 }
 
-const std::pmr::vector<int>* NbHandleTable::find_posted(int tag) const {
+const std::vector<int>* NbHandleTable::find_posted(int tag) const {
   const std::uint32_t* idx = posted_index_.find(
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
   return idx == nullptr ? nullptr : &posted_store_[*idx - 1];
 }
 
-std::pmr::vector<int>& NbHandleTable::get_posted(int tag) {
+std::vector<int>& NbHandleTable::get_posted(int tag) {
   // The flat map holds (store index + 1) so a value-initialized slot reads
-  // as "no bucket"; the pmr vectors never move — FlatKeyMap only relocates
+  // as "no bucket"; the id vectors never move — FlatKeyMap only relocates
   // the 32-bit indices during rehash / backward shift.
   std::uint32_t& ref = posted_index_.get_or_insert(
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
@@ -333,7 +333,7 @@ std::pmr::vector<int>& NbHandleTable::get_posted(int tag) {
       ref = store_free_.back() + 1;
       store_free_.pop_back();
     } else {
-      posted_store_.emplace_back(arena_);
+      posted_store_.emplace_back();
       ref = static_cast<std::uint32_t>(posted_store_.size());
     }
   }
@@ -353,7 +353,7 @@ void NbHandleTable::erase_posted(int tag) {
 void NbHandleTable::post_recv(int id) {
   const Entry* e = find(id);
   assert(e != nullptr && !e->is_send && !e->data_arrived);
-  std::pmr::vector<int>& ids = get_posted(e->tag);
+  std::vector<int>& ids = get_posted(e->tag);
   // Ids arrive mostly in ascending order (collectives allocate densely),
   // so the insertion point is almost always the back.
   auto it = std::lower_bound(ids.begin(), ids.end(), id);
@@ -362,7 +362,7 @@ void NbHandleTable::post_recv(int id) {
 }
 
 int NbHandleTable::match_posted(int src_rank, int tag) const {
-  const std::pmr::vector<int>* ids = find_posted(tag);
+  const std::vector<int>* ids = find_posted(tag);
   if (ids == nullptr) return -1;
   for (const int id : *ids) {
     const Entry& e = entries_[static_cast<std::size_t>(id)];
@@ -375,7 +375,7 @@ int NbHandleTable::match_posted(int src_rank, int tag) const {
 void NbHandleTable::unpost(int id) {
   const Entry* e = find(id);
   assert(e != nullptr && !e->is_send);
-  std::pmr::vector<int>* ids = const_cast<std::pmr::vector<int>*>(
+  std::vector<int>* ids = const_cast<std::vector<int>*>(
       static_cast<const NbHandleTable*>(this)->find_posted(e->tag));
   if (ids == nullptr) return;
   auto it = std::lower_bound(ids->begin(), ids->end(), id);
@@ -401,9 +401,6 @@ void NbHandleTable::clear() {
   for (Entry& e : entries_) e.open = false;
   open_ = 0;
   open_recvs_ = 0;
-  // Drop the id vectors wholesale: they point into an arena whose lifetime
-  // the caller is about to recycle, so release them rather than keeping
-  // them on the free list.
   posted_index_.clear();
   posted_store_.clear();
   store_free_.clear();

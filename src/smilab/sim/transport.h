@@ -43,13 +43,11 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "smilab/sim/flat_key_map.h"
 #include "smilab/sim/task.h"
 #include "smilab/time/sim_time.h"
-#include "smilab/trace/action_arena.h"
 
 namespace smilab {
 
@@ -428,9 +426,9 @@ class NbHandleTable {
 
  private:
   /// The posted-id vector for `tag`, or nullptr.
-  [[nodiscard]] const std::pmr::vector<int>* find_posted(int tag) const;
+  [[nodiscard]] const std::vector<int>* find_posted(int tag) const;
   /// The posted-id vector for `tag`, creating an empty one.
-  [[nodiscard]] std::pmr::vector<int>& get_posted(int tag);
+  [[nodiscard]] std::vector<int>& get_posted(int tag);
   /// Drop `tag`'s bucket (it must be empty), recycling the store slot.
   void erase_posted(int tag);
 
@@ -442,14 +440,9 @@ class NbHandleTable {
   /// value-initialization). Probed by key only; cleared wholesale (smilint
   /// D3). The id vectors themselves are recycled through posted_store_ /
   /// store_free_, so FlatKeyMap only ever relocates 32-bit indices.
-  ///
-  /// The id vectors live on the thread's ActionArena (trace/): posting and
-  /// unposting churn small id vectors at waitall-window rate, and the bump
-  /// resource turns that into pointer arithmetic.
   FlatKeyMap<std::uint32_t> posted_index_;
-  std::vector<std::pmr::vector<int>> posted_store_;
+  std::vector<std::vector<int>> posted_store_;
   std::vector<std::uint32_t> store_free_;
-  std::pmr::memory_resource* arena_ = ActionArena::current();
 };
 
 /// Snapshot of the transport's resource usage (System::transport_stats()).

@@ -1,6 +1,6 @@
 // Bounded sink for completed-action records.
 //
-// The retained trace path keeps every rank's full program alive for the
+// A whole-program build keeps every rank's full program alive for the
 // whole run; streaming sources (mpi/streaming.h) drop that, but renderers
 // and wait-for diagnostics still want recent per-action history. The
 // ActionRing keeps a fixed-capacity window of the most recently completed

@@ -30,7 +30,7 @@ TEST(OptionsTest, ParsesCommandAndFlags) {
   EXPECT_EQ(options.command(), "nas");
   EXPECT_EQ(options.get("workload", ""), "ft");
   std::string error;
-  EXPECT_EQ(options.get_int("nodes", 0, &error), 8);
+  EXPECT_EQ(options.get_int("nodes", 0, 1, 16, &error), 8);
   EXPECT_TRUE(options.get_bool("htt", false));
   EXPECT_TRUE(error.empty());
 }
@@ -39,7 +39,7 @@ TEST(OptionsTest, DefaultsWhenMissing) {
   const Options options = parse_ok({"convolve"});
   std::string error;
   EXPECT_EQ(options.get("case", "cu"), "cu");
-  EXPECT_EQ(options.get_int("cpus", 8, &error), 8);
+  EXPECT_EQ(options.get_int("cpus", 8, 1, 8, &error), 8);
   EXPECT_DOUBLE_EQ(options.get_double("x", 1.5, &error), 1.5);
   EXPECT_FALSE(options.get_bool("htt", false));
 }
@@ -72,8 +72,27 @@ TEST(OptionsTest, RepeatedFlagIsAnError) {
 TEST(OptionsTest, TypeErrorsReported) {
   const Options options = parse_ok({"nas", "--nodes=abc"});
   std::string error;
-  EXPECT_EQ(options.get_int("nodes", 7, &error), 7);
+  EXPECT_EQ(options.get_int("nodes", 7, 1, 16, &error), 7);
   EXPECT_NE(error.find("--nodes"), std::string::npos);
+}
+
+TEST(OptionsTest, IntegerOutsideRangeIsAnError) {
+  const Options options = parse_ok(
+      {"faults", "--lo=0", "--hi=9", "--edge=8", "--huge=4294967297",
+       "--overflow=99999999999999999999"});
+  std::string error;
+  EXPECT_EQ(options.get_int("edge", 1, 1, 8, &error), 8);  // bounds inclusive
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(options.get_int("lo", 4, 1, 8, &error), 4);
+  EXPECT_NE(error.find("--lo must be an integer in [1, 8]"), std::string::npos)
+      << error;
+  EXPECT_EQ(options.get_int("hi", 4, 1, 8, &error), 4);
+  EXPECT_NE(error.find("--hi"), std::string::npos) << error;
+  EXPECT_EQ(options.get_int("huge", 200, 1, 2147483647, &error), 200);
+  EXPECT_NE(error.find("--huge"), std::string::npos) << error;
+  error.clear();
+  EXPECT_EQ(options.get_int("overflow", 3, 0, 10, &error), 3);
+  EXPECT_NE(error.find("--overflow"), std::string::npos) << error;
 }
 
 TEST(OptionsTest, UnconsumedFlagsDetected) {
@@ -156,6 +175,27 @@ TEST(CliTest, NasCommandReportsSlowdown) {
   EXPECT_NE(out.find("% slowdown"), std::string::npos);
 }
 
+// A usage error exits 2, names the problem on stderr and runs nothing.
+void expect_usage_error(std::initializer_list<const char*> args,
+                        const std::string& message) {
+  std::string out, err;
+  EXPECT_EQ(run(args, &out, &err), 2);
+  EXPECT_NE(err.find(message), std::string::npos) << err;
+  EXPECT_TRUE(out.empty()) << out;
+}
+
+TEST(CliTest, NasRejectsRetainedFlag) {
+  // Every NAS run streams its rank programs; there is no residency flag.
+  expect_usage_error(
+      {"nas", "--workload=ep", "--nodes=1", "--trials=1", "--retained"},
+      "--retained");
+}
+
+TEST(CliTest, NasRejectsZeroTrials) {
+  expect_usage_error({"nas", "--workload=ep", "--nodes=1", "--trials=0"},
+                     "--trials must be an integer in [1, ");
+}
+
 TEST(CliTest, NasRejectsInvalidRankCount) {
   std::string out, err;
   const int rc = run({"nas", "--workload=bt", "--nodes=3"}, &out, &err);
@@ -199,6 +239,41 @@ TEST(CliTest, RimCommandReportsPolicy) {
   EXPECT_NE(out.find("duty cycle"), std::string::npos);
   EXPECT_NE(out.find("detection latency"), std::string::npos);
   EXPECT_NE(out.find("BIOSBITS"), std::string::npos);
+}
+
+TEST(CliTest, DetectRejectsNegativeDuration) {
+  expect_usage_error({"detect", "--duration-s=-5"},
+                     "--duration-s must be an integer in [1, ");
+}
+
+TEST(CliTest, RimRejectsZeroNodes) {
+  expect_usage_error({"rim", "--nodes=0"},
+                     "--nodes must be an integer in [1, ");
+}
+
+TEST(CliTest, FaultsRejectsNegativeBytes) {
+  expect_usage_error({"faults", "--nodes=2", "--iters=3", "--bytes=-100000"},
+                     "--bytes must be an integer in [0, ");
+}
+
+TEST(CliTest, FaultsRejectsIterationsPastIntRange) {
+  // 2^32 + 1 used to truncate to one iteration through a cast to int.
+  expect_usage_error({"faults", "--nodes=2", "--iters=4294967297"},
+                     "--iters must be an integer in [1, 2147483647]");
+}
+
+TEST(CliTest, FaultsRingHoldsOneChunkPerRank) {
+  // The ring streams one iteration (3 actions) per rank at a time, so peak
+  // residency is 4 x 3 actions however many iterations run; whole
+  // programs held 4 x 5000 x 3 = 60000. The completion time is the same
+  // either way.
+  std::string out, err;
+  EXPECT_EQ(run({"faults", "--nodes=4", "--iters=5000"}, &out, &err), 0)
+      << err;
+  EXPECT_NE(out.find("program actions: peak 12 materialized"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("completed in 9.0935 s"), std::string::npos) << out;
 }
 
 TEST(CliTest, TraceFlagWritesChromeJson) {

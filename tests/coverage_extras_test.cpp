@@ -70,7 +70,7 @@ TEST(RankProgramTest, NonblockingBuilderEmitsActions) {
   EXPECT_EQ(irecv->src_rank, 2);
   const auto* wait = std::get_if<WaitAll>(&actions[2]);
   ASSERT_NE(wait, nullptr);
-  EXPECT_EQ(wait->handles, (std::pmr::vector<int>{7, 8}));
+  EXPECT_EQ(wait->handles, (std::vector<int>{7, 8}));
 }
 
 TEST(OptionsTest, ExplicitFalseBoolean) {

@@ -207,8 +207,8 @@ TEST(DiagnosisTest, CliMapsUsageErrorsToExitCode2) {
 }
 
 TEST(DiagnosisTest, CliFaultFlagsAcceptCommaSeparatedSpecLists) {
-  // The option parser is last-wins for repeated flags, so the comma list
-  // is the only way to put two faults of one kind in a single command.
+  // A repeated flag is a usage error, so the comma list is the only way
+  // to put two faults of one kind in a single command.
   const char* argv[] = {"smilab", "faults", "--nodes=2", "--iters=50",
                         "--freeze=0:5:30,1:10:30"};
   std::ostringstream out, err;

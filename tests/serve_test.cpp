@@ -402,7 +402,7 @@ TEST(ServeWarm, NetworkMemoAdoptionIsBitInert) {
 }
 
 TEST(ServeWarm, RepeatedServesOnWarmWorkersStayDeterministic) {
-  // One worker => every simulation reuses the same warm arena and memo;
+  // One worker => every simulation reuses the same warm network memo;
   // distinct seeds force re-simulation each time. Results must match a
   // fresh single-shot service (no state leakage between requests).
   ServiceConfig warm_cfg;

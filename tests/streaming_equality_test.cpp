@@ -1,9 +1,9 @@
 // Streaming/retained equality suite: streaming action sources
 // (mpi/streaming.h, mpi/job.h run_mpi_job_streaming) are a pure memory
-// change. Every scenario here runs twice — retained (the bit-pinned
-// historical path, covered by the golden hashes elsewhere) and streaming —
-// and asserts the full observable trace hashes are EQUAL, extending those
-// pins to the streaming path.
+// change. Every scenario here runs twice — retained (the oracle: whole
+// programs from build_nas_trace, run through the run_mpi_job adapter) and
+// streaming (the product path) — and asserts the full observable trace
+// hashes are EQUAL.
 //
 // Alongside the equality pins: unit behaviour of ChunkedProgramSource and
 // RepeatActions, peak_program_actions high-water accounting (the metric
@@ -71,6 +71,10 @@ void mix_system(TraceHash& h, const System& sys) {
 
 // --- NAS retained vs streaming ---------------------------------------------
 
+/// How a run holds its rank programs: the whole-program oracle or the
+/// streaming sources every product path uses.
+enum class Residency { kRetained, kStreaming };
+
 System make_nas_system(const NasJobSpec& spec, const SmiConfig& smi,
                        std::uint64_t seed) {
   SystemConfig cfg;
@@ -86,16 +90,17 @@ System make_nas_system(const NasJobSpec& spec, const SmiConfig& smi,
 struct NasRun {
   std::uint64_t hash = 0;
   std::int64_t peak_program_actions = 0;
+  double elapsed_s = 0;
 };
 
-NasRun nas_run(const NasJobSpec& spec, const NasKnob& knob, TraceMode mode,
-               const SmiConfig& smi, std::uint64_t seed) {
+NasRun nas_run(const NasJobSpec& spec, const NasKnob& knob,
+               Residency residency, const SmiConfig& smi, std::uint64_t seed) {
   System sys = make_nas_system(spec, smi, seed);
   sys.set_online_cpus(spec.htt ? sys.config().machine.logical_cpus()
                                : sys.config().machine.cores());
   const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
   MpiJobResult result =
-      mode == TraceMode::kStreaming
+      residency == Residency::kStreaming
           ? run_mpi_job_streaming(sys, spec.ranks(),
                                   make_nas_rank_sources(spec, knob), placement,
                                   WorkloadProfile::dense_fp())
@@ -105,7 +110,8 @@ NasRun nas_run(const NasJobSpec& spec, const NasKnob& knob, TraceMode mode,
   TraceHash h;
   h.mix_signed(result.elapsed.ns());
   mix_system(h, sys);
-  return NasRun{h.value(), sys.peak_program_actions()};
+  return NasRun{h.value(), sys.peak_program_actions(),
+                result.elapsed.seconds()};
 }
 
 // A fast FT-shaped spec: real alltoall + allreduce structure at 8 ranks.
@@ -123,10 +129,10 @@ TEST(StreamingEqualityTest, FtStreamingMatchesRetainedUnderLongSmi) {
   const NasKnob knob{32 * 1024, 500};
   for (const std::uint64_t seed : {1ull, 9ull}) {
     EXPECT_EQ(
-        nas_run(small_ft(), knob, TraceMode::kStreaming,
+        nas_run(small_ft(), knob, Residency::kStreaming,
                 SmiConfig::long_every_second(), seed)
             .hash,
-        nas_run(small_ft(), knob, TraceMode::kRetained,
+        nas_run(small_ft(), knob, Residency::kRetained,
                 SmiConfig::long_every_second(), seed)
             .hash)
         << "seed " << seed;
@@ -135,10 +141,10 @@ TEST(StreamingEqualityTest, FtStreamingMatchesRetainedUnderLongSmi) {
 
 TEST(StreamingEqualityTest, FtStreamingMatchesRetainedUnderHtt) {
   const NasKnob knob{16 * 1024, 0};
-  EXPECT_EQ(nas_run(small_ft(/*htt=*/true), knob, TraceMode::kStreaming,
+  EXPECT_EQ(nas_run(small_ft(/*htt=*/true), knob, Residency::kStreaming,
                     SmiConfig::short_every_second(), 4)
                 .hash,
-            nas_run(small_ft(/*htt=*/true), knob, TraceMode::kRetained,
+            nas_run(small_ft(/*htt=*/true), knob, Residency::kRetained,
                     SmiConfig::short_every_second(), 4)
                 .hash);
 }
@@ -150,10 +156,10 @@ TEST(StreamingEqualityTest, BtStreamingMatchesRetained) {
   spec.nodes = 4;  // 4 ranks: square
   spec.ranks_per_node = 1;
   const NasKnob knob{8 * 1024, 0};
-  EXPECT_EQ(nas_run(spec, knob, TraceMode::kStreaming,
+  EXPECT_EQ(nas_run(spec, knob, Residency::kStreaming,
                     SmiConfig::long_every_second(), 7)
                 .hash,
-            nas_run(spec, knob, TraceMode::kRetained,
+            nas_run(spec, knob, Residency::kRetained,
                     SmiConfig::long_every_second(), 7)
                 .hash);
 }
@@ -165,29 +171,29 @@ TEST(StreamingEqualityTest, EpStreamingMatchesRetained) {
   spec.nodes = 4;
   spec.ranks_per_node = 2;
   const NasKnob knob{0, 0};
-  EXPECT_EQ(nas_run(spec, knob, TraceMode::kStreaming,
+  EXPECT_EQ(nas_run(spec, knob, Residency::kStreaming,
                     SmiConfig::short_every_second(), 11)
                 .hash,
-            nas_run(spec, knob, TraceMode::kRetained,
+            nas_run(spec, knob, Residency::kRetained,
                     SmiConfig::short_every_second(), 11)
                 .hash);
 }
 
 TEST(StreamingEqualityTest, SimulateNasOnceAgreesAcrossModes) {
+  // The product entry point against the whole-program oracle on the same
+  // system configuration (make_nas_system mirrors simulate_nas_once's).
   const NasJobSpec spec = small_ft();
   const NasKnob knob{16 * 1024, 250};
-  const double retained =
-      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003,
-                        TraceMode::kRetained);
   const double streaming =
-      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003,
-                        TraceMode::kStreaming);
-  EXPECT_EQ(retained, streaming);  // exact, not approximate
+      simulate_nas_once(spec, knob, SmiConfig::long_every_second(), 3, 0.003);
+  const NasRun retained = nas_run(spec, knob, Residency::kRetained,
+                                  SmiConfig::long_every_second(), 3);
+  EXPECT_EQ(retained.elapsed_s, streaming);  // exact, not approximate
 }
 
 // --- Faulted runs: try_run parity ------------------------------------------
 
-std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
+std::uint64_t faulted_hash(Residency residency, std::uint64_t seed) {
   const NasJobSpec spec = small_ft();
   const NasKnob knob{64 * 1024, 0};
   System sys = make_nas_system(spec, SmiConfig::long_every_second(), seed);
@@ -196,7 +202,7 @@ std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
   FaultInjector injector{sys, plan};
   const auto placement = block_placement(spec.ranks(), spec.ranks_per_node);
   MpiJobRunResult out =
-      mode == TraceMode::kStreaming
+      residency == Residency::kStreaming
           ? try_run_mpi_job_streaming(sys, spec.ranks(),
                                       make_nas_rank_sources(spec, knob),
                                       placement, WorkloadProfile::dense_fp())
@@ -211,8 +217,8 @@ std::uint64_t faulted_hash(TraceMode mode, std::uint64_t seed) {
 
 TEST(StreamingEqualityTest, FaultedRunsMatchAcrossModes) {
   for (const std::uint64_t seed : {7ull, 23ull}) {
-    EXPECT_EQ(faulted_hash(TraceMode::kStreaming, seed),
-              faulted_hash(TraceMode::kRetained, seed))
+    EXPECT_EQ(faulted_hash(Residency::kStreaming, seed),
+              faulted_hash(Residency::kRetained, seed))
         << "seed " << seed;
   }
 }
@@ -222,9 +228,9 @@ TEST(StreamingEqualityTest, FaultedRunsMatchAcrossModes) {
 TEST(StreamingEqualityTest, StreamingPeakIsFractionOfRetained) {
   const NasJobSpec spec = small_ft();
   const NasKnob knob{16 * 1024, 0};
-  const NasRun retained = nas_run(spec, knob, TraceMode::kRetained,
+  const NasRun retained = nas_run(spec, knob, Residency::kRetained,
                                   SmiConfig::none(), 1);
-  const NasRun streaming = nas_run(spec, knob, TraceMode::kStreaming,
+  const NasRun streaming = nas_run(spec, knob, Residency::kStreaming,
                                    SmiConfig::none(), 1);
   EXPECT_EQ(retained.hash, streaming.hash);
 

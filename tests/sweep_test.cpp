@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory_resource>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,7 +13,6 @@
 #include "smilab/apps/nas/runner.h"
 #include "smilab/core/paper_tables.h"
 #include "smilab/core/sweep.h"
-#include "smilab/trace/action_arena.h"
 
 namespace smilab {
 namespace {
@@ -104,22 +102,6 @@ TEST(SweepPoolTest, DrainRethrowsFirstJobException) {
   pool.submit([&done] { ++done; });
   EXPECT_NO_THROW(pool.drain());
   EXPECT_EQ(done.load(), 9);
-}
-
-TEST(SweepPoolTest, WorkersHoldAWarmArenaScope) {
-  // Jobs on a pool worker see an installed ActionArena (not the fallback
-  // new_delete_resource), and reset_current() between jobs retains chunk
-  // storage — the warm-worker property the serve daemon leans on.
-  SweepPool pool{1};
-  std::pmr::memory_resource* first = nullptr;
-  std::pmr::memory_resource* second = nullptr;
-  pool.submit([&first] { first = ActionArena::current(); });
-  pool.drain();
-  pool.submit([&second] { second = ActionArena::current(); });
-  pool.drain();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first, second);  // same thread-lifetime arena across jobs
-  EXPECT_NE(first, std::pmr::new_delete_resource());
 }
 
 // The headline bit-equality claim: a NAS cell (three SMM regimes x trials)
