@@ -14,14 +14,8 @@
 //                       ack-key routing, posted-receive index, waitall
 //                       progress counters, and lazy ack maturation.
 //  * egress burst     — one sender blasts back-to-back eager bursts at a
-//                       single NIC egress server; exercises the pipeline
-//                       booking fast path (batched interval booking, one
-//                       armed event per server direction).
-//
-// The storm and burst shapes are also measured with the transport fast
-// paths disabled (System::set_transport_fast_paths(false)), so the JSON
-// artifact records the pipelined-vs-classic delta on the same machine; the
-// fast-path golden tests prove both produce bit-identical simulations.
+//                       single NIC egress server; exercises the FIFO
+//                       server's queue and per-message done events.
 //
 // A small grid re-profile rides along: a sweep of independent storm cells
 // timed at --jobs=1 and at hardware concurrency, recording cells/s for both
@@ -31,7 +25,7 @@
 // the pool's bounded-memory evidence, and the CI floor values the perf-smoke
 // job gates on.
 //
-// Usage: comm_microbench [--quick] [--classic]
+// Usage: comm_microbench [--quick]
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -68,9 +62,8 @@ struct Rate {
 };
 
 /// Eager ping-pong between two ranks on distinct nodes.
-Rate measure_ping_pong(int round_trips, bool fast_paths) {
+Rate measure_ping_pong(int round_trips) {
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
   std::vector<Action> a, b;
   for (int i = 0; i < round_trips; ++i) {
@@ -92,9 +85,8 @@ Rate measure_ping_pong(int round_trips, bool fast_paths) {
 /// Deep unexpected queue drained out of order: `tags` eager messages with
 /// distinct tags pile up while the receiver computes, then are received in
 /// reverse tag order; repeated for `rounds`.
-Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
+Rate measure_unexpected_flood(int tags, int rounds) {
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   const GroupId g = sys.create_group(2);
   std::vector<Action> recv_prog, send_prog;
   for (int round = 0; round < rounds; ++round) {
@@ -118,9 +110,8 @@ Rate measure_unexpected_flood(int tags, int rounds, bool fast_paths) {
 /// Nonblocking rendezvous ring: every rank isends `burst` rendezvous-sized
 /// messages to its successor and irecvs as many from its predecessor, then
 /// waits on everything — keeping burst*p completion acks in flight.
-Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
+Rate measure_ack_storm(int ranks, int burst, int rounds) {
   System sys{base_cfg(ranks)};
-  sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(ranks);
   std::int64_t messages = 0;
   for (int round = 0; round < rounds; ++round) {
@@ -147,13 +138,12 @@ Rate measure_ack_storm(int ranks, int burst, int rounds, bool fast_paths) {
 }
 
 /// Back-to-back eager bursts at one egress server: each round the sender
-/// blasts `burst` eager isends into its NIC (booked as one batch by the
-/// pipeline), then waits for the receiver's short done message before the
-/// next round — so the in-flight window stays one burst deep and the
-/// measurement tracks per-burst booking cost rather than backlog memory.
-Rate measure_egress_burst(int burst, int rounds, bool fast_paths) {
+/// blasts `burst` eager isends into its NIC's FIFO, then waits for the
+/// receiver's short done message before the next round — so the in-flight
+/// window stays one burst deep and the measurement tracks per-burst
+/// service cost rather than backlog memory.
+Rate measure_egress_burst(int burst, int rounds) {
   System sys{base_cfg(2)};
-  sys.set_transport_fast_paths(fast_paths);
   auto programs = make_rank_programs(2);
   const int done_tag = 1 << 20;
   for (int round = 0; round < rounds; ++round) {
@@ -226,44 +216,32 @@ Rate best_of(int reps, Fn&& measure) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool classic = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--classic") == 0) classic = true;
     // --jobs=/--trials=/--csv=: accepted-and-ignored shared driver flags.
   }
   const int scale = quick ? 1 : 4;
   const int reps = quick ? 1 : 3;
-  const bool fast = !classic;
 
   const Rate ping =
-      best_of(reps, [&] { return measure_ping_pong(20'000 * scale, fast); });
+      best_of(reps, [&] { return measure_ping_pong(20'000 * scale); });
   std::printf("ping-pong:        %12.0f msgs/s\n", ping.msgs_per_s);
   const Rate flood = best_of(
-      reps, [&] { return measure_unexpected_flood(1500, 4 * scale, fast); });
+      reps, [&] { return measure_unexpected_flood(1500, 4 * scale); });
   std::printf("unexpected flood: %12.0f msgs/s  (pool capacity %lld for %lld msgs)\n",
               flood.msgs_per_s,
               static_cast<long long>(flood.stats.pool_capacity),
               static_cast<long long>(flood.stats.messages_allocated));
   const Rate storm =
-      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, fast); });
+      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale); });
   std::printf("rendezvous storm: %12.0f msgs/s  (%lld ack routes at exit)\n",
               storm.msgs_per_s,
               static_cast<long long>(storm.stats.ack_routes));
   const Rate burst = best_of(
-      reps, [&] { return measure_egress_burst(64, 300 * scale, fast); });
+      reps, [&] { return measure_egress_burst(64, 300 * scale); });
   std::printf("egress burst:     %12.0f msgs/s  (peak in flight %lld)\n",
               burst.msgs_per_s,
               static_cast<long long>(burst.stats.peak_in_flight));
-
-  // Classic-transport reference points for the two fast-path shapes (same
-  // machine, same process), so the artifact carries the delta.
-  const Rate storm_classic =
-      best_of(reps, [&] { return measure_ack_storm(8, 48, 2 * scale, false); });
-  const Rate burst_classic = best_of(
-      reps, [&] { return measure_egress_burst(64, 300 * scale, false); });
-  std::printf("  (classic transport: storm %.0f, burst %.0f msgs/s)\n",
-              storm_classic.msgs_per_s, burst_classic.msgs_per_s);
 
   // Grid-level parallel speedup: independent cells across sweep workers.
   const int grid_cells = quick ? 8 : 24;
@@ -278,13 +256,10 @@ int main(int argc, char** argv) {
 
   smilab::benchtool::BenchJson json{"comm_microbench"};
   json.set("quick", quick);
-  json.set("classic", classic);
   json.set("ping_pong_msgs_per_s", ping.msgs_per_s);
   json.set("unexpected_flood_msgs_per_s", flood.msgs_per_s);
   json.set("ack_storm_msgs_per_s", storm.msgs_per_s);
   json.set("egress_burst_msgs_per_s", burst.msgs_per_s);
-  json.set("ack_storm_classic_msgs_per_s", storm_classic.msgs_per_s);
-  json.set("egress_burst_classic_msgs_per_s", burst_classic.msgs_per_s);
   json.set("grid_cells_per_s_jobs1", grid_j1);
   json.set("grid_cells_per_s_jobsN", grid_jn);
   json.set("grid_jobs_n", grid_jobs);

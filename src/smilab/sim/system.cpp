@@ -19,35 +19,9 @@ constexpr std::int64_t kAckBytes = 64;
 
 // MessageRec and the pooled transport structures live in sim/transport.h.
 
-/// One direction of a node's NIC, as a pausable FIFO server. Pauses are
-/// refcounted so overlapping causes (SMM freeze, fault freeze, link-down,
-/// crash) compose; the server resumes when the last cause clears.
-///
-/// Two representations carry the same FIFO:
-///  * Pipeline (fast path): while the server is unpaused and the classic
-///    state is empty, each submit books its service interval immediately
-///    ([start, end] with start = max(now, busy_until)) — a burst of N
-///    submits is N deque pushes and one running `busy_until` cursor, with
-///    no per-message done-event bookkeeping. Only the FRONT booking holds
-///    an armed event — egress: the handoff at `end`; ingress: the merged
-///    service-end + propagation arrival at `end + latency` — and arms its
-///    successor when it fires, so a deep backlog keeps the engine heap at
-///    one event per server direction instead of one per in-flight message
-///    (booking every event up front measurably loses to the classic chain
-///    once backlogs reach tens of thousands: every heap operation pays
-///    log N on the ballooned heap). Per-message timestamps are identical
-///    to serving the run one event at a time.
-///  * Classic (active/remaining/queue): anything a pause can touch. On
-///    pause, outstanding bookings convert back to classic form
-///    (nic_pipe_to_classic) and the original pause/resume/recovery/crash
-///    logic applies unchanged; the classic backlog then drains through
-///    per-message done events, and the next submit that finds the server
-///    idle re-enters the pipeline.
-/// The two are mutually exclusive: bookings require the classic state
-/// empty, and conversion empties the pipeline.
 // Allocation-lazy FIFO for per-CPU and per-NIC queues. std::deque here
 // cost ~600 bytes of chunk map per instance at construction — times 16
-// runqueues and 4 NIC queues per node that dominated System construction
+// runqueues and 2 NIC queues per node that dominated System construction
 // at 8192 nodes (77 MB before a single task spawned). A vector with a
 // consumed-prefix head index allocates nothing until first use, pops in
 // amortized O(1), and iterates contiguously.
@@ -55,9 +29,7 @@ template <typename T>
 class ShortFifo {
  public:
   [[nodiscard]] bool empty() const { return head_ == v_.size(); }
-  [[nodiscard]] std::size_t size() const { return v_.size() - head_; }
   [[nodiscard]] T& front() { return v_[head_]; }
-  [[nodiscard]] const T& front() const { return v_[head_]; }
   void push_back(T x) {
     if (head_ != 0 && head_ == v_.size()) {
       v_.clear();
@@ -81,25 +53,23 @@ class ShortFifo {
   }
   [[nodiscard]] auto begin() { return v_.begin() + static_cast<std::ptrdiff_t>(head_); }
   [[nodiscard]] auto end() { return v_.end(); }
-  [[nodiscard]] auto begin() const { return v_.begin() + static_cast<std::ptrdiff_t>(head_); }
-  [[nodiscard]] auto end() const { return v_.end(); }
 
  private:
   std::vector<T> v_;
   std::size_t head_ = 0;
 };
 
+/// One direction of a node's NIC, as a pausable FIFO server. Pauses are
+/// refcounted so overlapping causes (SMM freeze, fault freeze, link-down,
+/// crash) compose; the server resumes when the last cause clears.
+///
+/// The message in service is `active`, with `remaining` service time left
+/// as of `since`; one done event per service (guarded by `epoch`) hands it
+/// on and starts the next queued message. A pause cancels the done event
+/// and banks the elapsed service; resuming re-arms it with the rest plus
+/// the TCP loss-recovery draw.
 struct System::NicServer {
-  struct PipeEntry {
-    MsgHandle h;
-    SimTime start;  // service begins (for the contiguity invariant)
-    SimTime end;    // service ends: egress handoff / ingress + latency
-    EventId ev{};   // armed only while this entry is the front
-  };
-
-  ShortFifo<PipeEntry> pipe;         // booked services (fast path), FIFO
-  SimTime busy_until;                // end of the last booked service
-  ShortFifo<MsgHandle> queue;        // messages awaiting service (classic)
+  ShortFifo<MsgHandle> queue;        // messages awaiting service
   MsgHandle active;                  // null = idle
   SimDuration remaining{};
   SimTime since;
@@ -109,9 +79,6 @@ struct System::NicServer {
   EventId done_ev{};
 
   [[nodiscard]] bool paused() const { return pause_depth > 0; }
-  [[nodiscard]] bool classic_busy() const {
-    return active.valid() || !queue.empty();
-  }
 };
 
 // Field order is deliberate (64k-rank residency: every byte here is
@@ -182,11 +149,10 @@ struct System::TaskImpl {
     return *nbs_;
   }
 
-  // Lazily matured rendezvous acks (transport fast path): acks owed to
-  // this sender whose delivery instant is already fixed but whose effects
-  // are applied at the task's next poll — or by a wake event at exactly
-  // the delivery instant whenever the task parks first, so wake timing is
-  // identical to a dedicated per-ack event.
+  // Lazily matured rendezvous acks (fault-free runs; see deliver_ack):
+  // acks owed to this sender whose delivery instant is already fixed but
+  // whose effects are applied at the task's next poll — or by a wake event
+  // at the earliest delivery instant whenever the task parks first.
   struct PendingAck {
     SimTime due;
     std::uint64_t seq = 0;  ///< delivery order among same-instant acks
@@ -1101,103 +1067,8 @@ System::NicServer& System::nic(int node, bool egress) {
 }
 
 void System::nic_submit(int node, bool egress, MsgHandle h) {
-  NicServer& server = nic(node, egress);
-  if (fast_paths_ && !server.paused() && !server.classic_busy()) {
-    nic_book(node, egress, server, h);
-    return;
-  }
-  server.queue.push_back(h);
+  nic(node, egress).queue.push_back(h);
   nic_try_serve(node, egress);
-}
-
-// Pipeline booking: fix the message's service interval now; the armed
-// event stays with the front entry only (see the NicServer comment).
-void System::nic_book(int node, bool egress, NicServer& server, MsgHandle h) {
-  const SimTime start = std::max(now(), server.busy_until);
-  const SimTime end = start + pool_.ref(h).xmit;
-  server.busy_until = end;
-  server.pipe.push_back(NicServer::PipeEntry{h, start, end, EventId{}});
-  if (server.pipe.size() == 1) nic_pipe_arm(node, egress, server);
-}
-
-// Arm the front booking's merged event. Called when a booking lands in an
-// empty pipe and when a fired front hands the chain to its successor; the
-// target instants were fixed at booking time, so arming order never moves
-// a timestamp.
-void System::nic_pipe_arm(int node, bool egress, NicServer& server) {
-  assert(!server.pipe.empty());
-  NicServer::PipeEntry& e = server.pipe.front();
-  assert(!e.ev.valid());
-  if (egress) {
-    e.ev = engine_.schedule_at(e.end,
-                               [this, node, h = e.h] { nic_pipe_handoff(node, h); });
-  } else {
-    e.ev = engine_.schedule_at(e.end + net_.latency(),
-                               [this, node, h = e.h] { nic_pipe_arrival(node, h); });
-  }
-}
-
-// A booked egress service ended: same instant the classic done event fired.
-// Mirrors the classic handler's order — handoff (which may book at the
-// destination ingress) before arming this server's next service.
-void System::nic_pipe_handoff(int node, MsgHandle h) {
-  NicServer& server = nic(node, /*egress=*/true);
-  assert(!server.pipe.empty() && server.pipe.front().h == h);
-  server.pipe.pop_front();
-  handoff_to_ingress(h);
-  if (!server.pipe.empty()) nic_pipe_arm(node, /*egress=*/true, server);
-  // No try_serve: the classic queue is empty by the booking precondition (a
-  // pause would have converted the pipeline away before admitting classic
-  // traffic).
-}
-
-// A booked ingress service ended and the propagation delay elapsed: the
-// merged event lands exactly where the classic done -> latency -> arrival
-// chain landed. The entry may already be gone (a pause converted the pipe
-// while this message was in propagation flight); the successor hand-over
-// happens before the arrival side effects, like the classic chain's next
-// done event which was already armed by now.
-void System::nic_pipe_arrival(int node, MsgHandle h) {
-  NicServer& server = nic(node, /*egress=*/false);
-  if (!server.pipe.empty() && server.pipe.front().h == h) {
-    server.pipe.pop_front();
-    if (!server.pipe.empty()) nic_pipe_arm(node, /*egress=*/false, server);
-  }
-  on_message_arrival(h);
-}
-
-// A pause landed while bookings are outstanding: rebuild the classic state
-// the pause/resume/crash logic expects. Entries whose service already
-// ended (ingress only) are in pure propagation flight — pause-immune, so
-// each leaves with an armed arrival event: the front already has its
-// merged event; successors get theirs here, at the exact instants the
-// classic chain used. The front still-in-service booking becomes `active`
-// with its true remaining time; the rest re-queue in order. Ties
-// (end == now, event not yet fired) stay with the server, matching the
-// classic tie where the pause beat the done event: the message pays the
-// recovery draw.
-void System::nic_pipe_to_classic(int node, NicServer& server) {
-  while (!server.pipe.empty() && server.pipe.front().end < now()) {
-    NicServer::PipeEntry& e = server.pipe.front();
-    if (!e.ev.valid()) {
-      e.ev = engine_.schedule_at(e.end + net_.latency(),
-                                 [this, node, h = e.h] { nic_pipe_arrival(node, h); });
-    }
-    server.pipe.pop_front();  // its arrival event now owns the delivery
-  }
-  for (NicServer::PipeEntry& e : server.pipe) {
-    engine_.cancel(e.ev);  // no-op for entries past the front
-    if (!server.active.valid()) {
-      assert(e.start <= now());
-      server.active = e.h;
-      server.remaining = e.end - now();
-      server.since = now();
-    } else {
-      server.queue.push_back(e.h);
-    }
-  }
-  server.pipe.clear();
-  server.busy_until = SimTime::zero();
 }
 
 void System::nic_try_serve(int node, bool egress) {
@@ -1313,7 +1184,6 @@ void System::nic_pause(int node, bool egress) {
   NicServer& server = nic(node, egress);
   if (++server.pause_depth > 1) return;  // already stopped by another cause
   server.paused_at = now();
-  if (!server.pipe.empty()) nic_pipe_to_classic(node, server);
   if (server.active.valid()) {
     server.remaining -= now() - server.since;
     if (server.remaining < SimDuration{1}) server.remaining = SimDuration{1};
@@ -1456,13 +1326,8 @@ void System::deliver_ack(const MessageRec& msg) {
   const SimDuration wire = msg.src_node == msg.dst_node
                                ? net_.intra_transfer(kAckBytes)
                                : net_.latency() + net_.wire_xmit(kAckBytes);
-  // Fast path: the delivery instant is fixed here and acks fire
-  // unconditionally (they skip the NIC servers, so no pause or fault can
-  // move them) — record it on the sender and piggyback the effects on its
-  // next poll instead of paying a dedicated event. Falls back to the full
-  // event chain whenever a link fault model is armed (drops/dups change
-  // route lifetimes mid-flight) or the sender is already gone.
-  if (fast_paths_ && link_fault_ == nullptr) {
+  // Fault-free acks mature lazily; see "Lazy ack maturation" below.
+  if (link_fault_ == nullptr) {
     if (AckTarget* route = ack_router_.find(msg.ack_key)) {
       queue_lazy_ack(task(route->task), msg.ack_key, now() + wire);
       return;
@@ -1520,18 +1385,25 @@ void System::apply_ack(std::uint64_t ack_key, bool allow_wake) {
   }
 }
 
-// --- Lazy ack maturation (transport fast path) -------------------------------
+// --- Lazy ack maturation (fault-free runs) ------------------------------------
 //
-// deliver_ack computes the ack's delivery instant exactly as before, but —
-// when no fault model is armed — records {due, key} on the sender instead
-// of scheduling an event. Acks skip the NIC servers and fire
-// unconditionally in the classic path, so their only observable effects
-// are the sender-side completion flags, which the sender can only read at
-// a poll. A parked sender gets a wake event at exactly the earliest due
-// instant, so wake timing (and the hang watchdog's note_progress) is
-// unchanged; a busy sender absorbs the acks into its next poll, which is
-// where the event savings come from (the ack storm's senders are almost
-// always mid-copy).
+// With no link fault model installed, deliver_ack records {due, key} on the
+// sender instead of scheduling an event: acks skip the NIC servers, so no
+// pause can move `due`. An ack's only observable effects are the
+// sender-side completion flags, which the sender reads at a poll. A parked
+// sender gets one wake event at the earliest due instant; a busy sender
+// absorbs its acks into its next poll (the ack storm's senders are almost
+// always mid-copy, so most acks cost no event). Under a fault model, whose
+// drops and duplicates change route lifetimes mid-flight, or once the
+// sender's route is gone, each ack gets its own event instead.
+//
+// The two rules deliver at the same instants but break same-instant ties
+// differently, so they are not interchangeable: a poll that lands at `due`
+// applies the ack ahead of same-instant events a dedicated ack event would
+// have queued behind, and a wake armed when the sender parks queues behind
+// same-instant events a dedicated ack event would have preceded.
+// AckOrderGoldenTest and paper_quick's digests pin the lazy rule,
+// TransportGoldenTest.FaultTransportHashPinned the event rule.
 
 void System::queue_lazy_ack(TaskImpl& sender, std::uint64_t key, SimTime due) {
   sender.pending_acks.push_back(
@@ -2068,30 +1940,6 @@ void System::validate() const {
       pool_.live_in_state(MessageRec::State::kConsumed);
   if (consumed > ack_router_.size()) {
     fail("kConsumed records outnumber outstanding ack routes");
-  }
-  // NIC pipeline invariants: bookings and classic state are mutually
-  // exclusive, a paused server holds no bookings, and every pipeline is a
-  // contiguous FIFO of live records.
-  for (int n = 0; n < cluster_.node_count(); ++n) {
-    const auto& ns = *node_state_[static_cast<std::size_t>(n)];
-    for (const NicServer* server : {&ns.egress, &ns.ingress}) {
-      if (server->pipe.empty()) continue;
-      if (server->paused()) fail("paused NIC server holds pipeline bookings");
-      if (server->classic_busy()) {
-        fail("NIC pipeline and classic service state coexist");
-      }
-      SimTime prev_end = SimTime::zero();
-      for (const NicServer::PipeEntry& e : server->pipe) {
-        if (pool_.get(e.h) == nullptr) fail("NIC booking holds a stale handle");
-        if (e.end < e.start || e.start < prev_end) {
-          fail("NIC pipeline bookings are not a contiguous FIFO");
-        }
-        prev_end = e.end;
-      }
-      if (server->busy_until != prev_end) {
-        fail("NIC busy_until disagrees with the last booking");
-      }
-    }
   }
 }
 

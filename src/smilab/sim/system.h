@@ -246,19 +246,10 @@ class System {
   void set_link_down(int node, bool down);
 
   /// Install / clear the per-delivery fault model. `model` must outlive the
-  /// run. Null restores the perfectly reliable transport.
+  /// run. Null restores the perfectly reliable transport. While a model is
+  /// installed, rendezvous acks are delivered by one event each instead of
+  /// maturing at the sender's next poll (see deliver_ack).
   void set_link_fault_model(LinkFaultModel* model) { link_fault_ = model; }
-
-  /// Enable/disable the transport fast paths: pipelined NIC egress/ingress
-  /// booking (one merged event per stage instead of per-message service
-  /// chains) and lazily matured rendezvous acks (delivery piggybacks on the
-  /// sender's next poll instead of a dedicated event). Both are bit-exact —
-  /// the fast-path golden tests compare hashes with the knob on and off
-  /// under SMM overlap and fault plans — and both self-disable whenever a
-  /// pause or fault model makes the short-circuit observable. On by
-  /// default; the off position exists for debugging and the equality tests.
-  void set_transport_fast_paths(bool on) { fast_paths_ = on; }
-  [[nodiscard]] bool transport_fast_paths() const { return fast_paths_; }
 
   /// Injected-fault intervals, in injection order (for traces and reports).
   [[nodiscard]] const std::vector<FaultRecord>& fault_log() const {
@@ -401,7 +392,7 @@ class System {
   static void wa_clear_ready(TaskImpl& t, int pos);
   [[nodiscard]] static int wa_first_ready(const TaskImpl& t);
 
-  // Lazily matured rendezvous acks (fast path; see deliver_ack).
+  // Lazily matured rendezvous acks (fault-free runs; see deliver_ack).
   void queue_lazy_ack(TaskImpl& sender, std::uint64_t key, SimTime due);
   void mature_acks(TaskImpl& t, bool allow_wake = false);
   void ensure_ack_wake(TaskImpl& t);
@@ -416,18 +407,6 @@ class System {
   void nic_service_done(int node, bool egress, std::uint64_t epoch);
   void nic_pause(int node, bool egress);
   void nic_resume(int node, bool egress);
-
-  // NIC pipeline fast path: an idle unpaused server books each message's
-  // service interval at submit time and carries it on one event (egress:
-  // the handoff; ingress: the merged service-end + propagation arrival).
-  // A pause converts outstanding bookings back to the classic
-  // active/queue form, after which the original pause/resume/crash logic
-  // applies unchanged.
-  void nic_book(int node, bool egress, NicServer& server, MsgHandle h);
-  void nic_pipe_arm(int node, bool egress, NicServer& server);
-  void nic_pipe_handoff(int node, MsgHandle h);
-  void nic_pipe_arrival(int node, MsgHandle h);
-  void nic_pipe_to_classic(int node, NicServer& server);
 
   // SMM helpers.
   void apply_refill(TaskImpl& t, Rng& rng, SimDuration frozen_for);
@@ -463,7 +442,6 @@ class System {
   int unfinished_tasks_ = 0;
 
   // Fault and watchdog state.
-  bool fast_paths_ = true;
   LinkFaultModel* link_fault_ = nullptr;
   SchedulePolicy* sched_policy_ = nullptr;  ///< null: canonical schedule
   std::vector<double> fault_rate_;  ///< per-node fault rate degradation
