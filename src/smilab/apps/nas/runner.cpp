@@ -1,16 +1,11 @@
 #include "smilab/apps/nas/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <exception>
-#include <future>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <tuple>
 
+#include "smilab/core/single_flight.h"
 #include "smilab/core/sweep.h"
 #include "smilab/mpi/job.h"
 #include "smilab/sim/system.h"
@@ -135,49 +130,30 @@ NasKnob calibrate_uncached(const NasJobSpec& spec) {
   return pad_residual(NasKnob{lo, 0}, t_lo, target);
 }
 
-std::atomic<std::uint64_t> g_calibrations_computed{0};
+/// Knobs by (bench, class, nodes, ranks per node), shared across
+/// concurrently swept cells and serve workers.
+using CalibrationMemo =
+    SingleFlightMemo<std::tuple<int, int, int, int>, NasKnob>;
+
+CalibrationMemo& calibrations() {
+  static CalibrationMemo memo;
+  return memo;
+}
 
 }  // namespace
 
 NasKnob calibrate_nas_knob(const NasJobSpec& spec) {
-  using Key = std::tuple<int, int, int, int>;
-  // The memo is shared across concurrently swept cells and serve workers.
-  // The first caller for a cell installs a future and calibrates outside
-  // the lock; later callers wait on that future, so each cell is computed
-  // once per process. A failed calibration reaches every waiter and leaves
-  // no entry, so a later caller computes it afresh.
-  static std::mutex mu;
-  static std::map<Key, std::shared_future<NasKnob>> memo;
-  const Key key{static_cast<int>(spec.bench), static_cast<int>(spec.cls),
-                spec.nodes, spec.ranks_per_node};
-  std::shared_future<NasKnob> knob;
-  std::optional<std::promise<NasKnob>> fill;  // set for the first caller
-  {
-    const std::lock_guard<std::mutex> lock{mu};
-    auto [it, inserted] = memo.try_emplace(key);
-    if (inserted) it->second = fill.emplace().get_future().share();
-    knob = it->second;
-  }
-  if (fill) {
-    NasJobSpec base = spec;
-    base.htt = false;  // HTT does not change the no-SMI runtime
-    try {
-      fill->set_value(calibrate_uncached(base));
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock{mu};
-        memo.erase(key);
-      }
-      fill->set_exception(std::current_exception());
-    }
-    ++g_calibrations_computed;
-  }
-  return knob.get();
+  return calibrations().get(
+      {static_cast<int>(spec.bench), static_cast<int>(spec.cls), spec.nodes,
+       spec.ranks_per_node},
+      [&] {
+        NasJobSpec base = spec;
+        base.htt = false;  // HTT does not change the no-SMI runtime
+        return calibrate_uncached(base);
+      });
 }
 
-std::uint64_t nas_calibrations_computed() {
-  return g_calibrations_computed.load();
-}
+std::uint64_t nas_calibrations_computed() { return calibrations().computed(); }
 
 NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options) {
   NasCellResult result;

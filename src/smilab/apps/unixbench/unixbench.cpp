@@ -2,8 +2,9 @@
 
 #include <cassert>
 #include <cmath>
-#include <vector>
+#include <tuple>
 
+#include "smilab/core/single_flight.h"
 #include "smilab/sim/system.h"
 
 namespace smilab {
@@ -78,13 +79,9 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   return per_copy_ops * copies / elapsed;
 }
 
-}  // namespace
-
-UnixBenchResult run_unixbench(const UnixBenchOptions& options) {
-  assert(options.online_cpus >= 1 && options.online_cpus <= 8);
-  const int copies =
-      options.copies > 0 ? options.copies : options.online_cpus;
-
+/// The five tests in order, folded into per-test rates, scores and the
+/// index.
+UnixBenchResult run_suite(const UnixBenchOptions& options, int copies) {
   UnixBenchResult result;
   double log_sum = 0.0;
   for (int i = 0; i < kUbTestCount; ++i) {
@@ -97,6 +94,41 @@ UnixBenchResult run_unixbench(const UnixBenchOptions& options) {
   }
   result.index = std::exp(log_sum / kUbTestCount);
   return result;
+}
+
+/// SMI-free suites by (online CPUs, copies, per-test duration in ns). The
+/// seed is not part of the key because it cannot reach an SMI-free result:
+/// - with no SMI there is no SMM exit, so no refill draw and no NIC
+///   recovery draw;
+/// - run_one_test's SystemConfig keeps node_speed_sigma = 0 and installs no
+///   fault model, so no node-speed or link-fault draw;
+/// - the constructor's htt_luck draw is read only on the refill path.
+/// What remains is integer-ns scheduling of identical Compute batches, the
+/// same for every seed (UnixBenchBaselineTest checks it for every test and
+/// CPU count). An entry takes 224 B in three allocations (map node, future
+/// state, 88 B result); serve's requests can create at most 8.
+using BaselineMemo =
+    SingleFlightMemo<std::tuple<int, int, std::int64_t>, UnixBenchResult>;
+
+BaselineMemo& baselines() {
+  static BaselineMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+UnixBenchResult run_unixbench(const UnixBenchOptions& options) {
+  assert(options.online_cpus >= 1 && options.online_cpus <= 8);
+  const int copies =
+      options.copies > 0 ? options.copies : options.online_cpus;
+  if (options.smi.enabled()) return run_suite(options, copies);
+  return baselines().get(
+      {options.online_cpus, copies, options.per_test_duration.ns()},
+      [&] { return run_suite(options, copies); });
+}
+
+std::uint64_t unixbench_baselines_computed() {
+  return baselines().computed();
 }
 
 }  // namespace smilab

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "smilab/cpu/workload_profile.h"
@@ -51,6 +52,8 @@ struct UnixBenchOptions {
   int copies = -1;           ///< -1: one copy per online CPU (UnixBench default)
   SimDuration per_test_duration = seconds(20);  ///< nominal measurement window
   SmiConfig smi{};
+  /// Reaches the result only when SMIs fire: an SMI-free suite is the same
+  /// for every seed.
   std::uint64_t seed = 1;
 };
 
@@ -60,7 +63,14 @@ struct UnixBenchResult {
   double index = 0.0;                            ///< geometric mean of scores
 };
 
-/// Run the five-test suite on an E5620 node and compute the index.
+/// Run the five-test suite on an E5620 node and compute the index. An
+/// SMI-free suite is computed once per process for each (online CPUs,
+/// copies, per-test duration) and shared by every later caller, whatever
+/// its seed; concurrent first callers wait for a single computation.
 UnixBenchResult run_unixbench(const UnixBenchOptions& options);
+
+/// SMI-free suites run_unixbench has computed in this process (first
+/// callers for a shape, not memo lookups).
+std::uint64_t unixbench_baselines_computed();
 
 }  // namespace smilab

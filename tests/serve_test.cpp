@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "smilab/apps/nas/runner.h"
+#include "smilab/apps/unixbench/unixbench.h"
 #include "smilab/net/network.h"
 #include "smilab/serve/request.h"
 #include "smilab/serve/result_cache.h"
@@ -373,6 +375,71 @@ TEST(ServeService, NasRequestServesAndCaches) {
   EXPECT_TRUE(hit.cached);
   EXPECT_EQ(*miss.payload, *hit.payload);
   EXPECT_NE(miss.payload->find("\"slowdown_pct\":"), std::string::npos);
+}
+
+/// The text of `field`'s value in a payload: from after `"field":` up to
+/// the next top-level `,"` (scalars and flat arrays only).
+std::string payload_field(const std::string& payload, const std::string& field) {
+  const std::string tag = "\"" + field + "\":";
+  const auto at = payload.find(tag);
+  if (at == std::string::npos) return {};
+  const auto begin = at + tag.size();
+  const auto end = payload.find(",\"", begin);
+  return payload.substr(begin, end == std::string::npos ? end : end - begin);
+}
+
+TEST(ServeService, UnixbenchPayloadPinned) {
+  // Captured before SMI-free suites were memoized: the memo must not move
+  // a byte of either half of the payload.
+  const auto req = parse_ok(
+      R"({"experiment":"unixbench","cpus":4,"smi":"long","gap_ms":600,"seed":5})");
+  EXPECT_EQ(
+      run_experiment_payload(req),
+      R"({"base_index":3176.6994643983371,"noisy_index":2701.7026890818047,)"
+      R"("delta_pct":-14.952524802546796,"base_scores":[3770.3513281919454,)"
+      R"(1527.2727272727273,3376.2057877813504,2600,6400],"noisy_scores":)"
+      R"([3213.5419841677076,1300.9387645870484,2862.7994971143307,)"
+      R"(2215.7148341223947,5428.0288184088422]})");
+}
+
+TEST(ServeService, UnixbenchBaseIsSharedAcrossSeeds) {
+  const std::string a = run_experiment_payload(parse_ok(
+      R"({"experiment":"unixbench","cpus":1,"smi":"long","seed":11})"));
+  const std::string b = run_experiment_payload(parse_ok(
+      R"({"experiment":"unixbench","cpus":1,"smi":"long","seed":12})"));
+  ASSERT_FALSE(payload_field(a, "base_index").empty()) << a;
+  EXPECT_EQ(payload_field(a, "base_index"), payload_field(b, "base_index"));
+  EXPECT_EQ(payload_field(a, "base_scores"), payload_field(b, "base_scores"));
+}
+
+TEST(ServeService, StatsReportProcessWideMemoFills) {
+  // 3 CPUs at the default 20 s window is a UnixBench shape no other test
+  // computes, so this SMI-free request is its first caller. It simulates
+  // one suite, not two: the memo serves its "noisy" half.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SweepService service{cfg};
+  const std::uint64_t before = unixbench_baselines_computed();
+  const std::string ok =
+      service.serve_line(R"({"experiment":"unixbench","smi":"none","cpus":3})");
+  ASSERT_NE(ok.find(R"("ok":true)"), std::string::npos) << ok;
+  EXPECT_EQ(unixbench_baselines_computed(), before + 1);
+  EXPECT_EQ(payload_field(ok, "base_index"), payload_field(ok, "noisy_index"));
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.unixbench_baselines,
+            static_cast<std::int64_t>(before + 1));
+  EXPECT_EQ(stats.nas_calibrations,
+            static_cast<std::int64_t>(nas_calibrations_computed()));
+  const std::string line = service.serve_line(R"({"op":"stats"})");
+  EXPECT_NE(line.find(R"("nas_calibrations":)" +
+                      std::to_string(stats.nas_calibrations) + ","),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(R"("unixbench_baselines":)" +
+                      std::to_string(before + 1) + ","),
+            std::string::npos)
+      << line;
 }
 
 // --- Warm worker state ------------------------------------------------------

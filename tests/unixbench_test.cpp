@@ -1,9 +1,16 @@
 // Tests for the UnixBench workload model (Figure 2 machinery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "smilab/apps/unixbench/unixbench.h"
+#include "smilab/sim/system.h"
 
 namespace smilab {
 namespace {
@@ -123,6 +130,119 @@ TEST(UnixBenchTest, ShortSmisBarelyMatter) {
   const double clean = run_unixbench(base).index;
   const double with_short = run_unixbench(noisy).index;
   EXPECT_GT(with_short, clean * 0.985);
+}
+
+// --- The SMI-free baseline memo ----------------------------------------------
+//
+// run_unixbench computes each SMI-free suite once per process and shares it
+// across seeds. That rests on an invariant these tests check outside the
+// memo, with a replica of run_one_test's System (unixbench.cpp): without
+// SMIs, no seed moves a finish time.
+
+constexpr SimDuration kShortTest = milliseconds(250);
+
+/// One UnixBench test as run_one_test runs it without SMIs: `copies` tasks
+/// of 1 ms Compute batches on `cpus` CPUs; returns the last finish time.
+SimTime replica_finish(const UbTestSpec& spec, int cpus, int copies,
+                       std::uint64_t seed) {
+  SystemConfig cfg;
+  cfg.machine = MachineSpec::poweredge_r410_e5620();
+  cfg.node_count = 1;
+  cfg.os.tickless = true;
+  cfg.seed = seed ^ (static_cast<std::uint64_t>(spec.test) << 32);
+  System sys{cfg};
+  sys.set_online_cpus(cpus);
+  const SimDuration batch = milliseconds(1);
+  const int batches = std::max(1, static_cast<int>(kShortTest / batch));
+  for (int c = 0; c < copies; ++c) {
+    TaskSpec task;
+    task.name = std::string{to_string(spec.test)} + "#" + std::to_string(c);
+    task.node = 0;
+    task.profile = spec.profile;
+    task.wait_policy = WaitPolicy::kBlock;
+    task.actions =
+        std::make_unique<RepeatActions>(Action{Compute{batch}}, batches);
+    sys.spawn(std::move(task));
+  }
+  sys.run();
+  return sys.last_finish_time();
+}
+
+TEST(UnixBenchBaselineTest, SmiFreeFinishIsSeedFree) {
+  for (const UbTestSpec& spec : ub_test_specs()) {
+    for (int cpus = 1; cpus <= 8; ++cpus) {
+      const SimTime finish = replica_finish(spec, cpus, cpus, 1);
+      EXPECT_GT(finish.ns(), 0);
+      for (const std::uint64_t seed :
+           {std::uint64_t{2}, std::numeric_limits<std::uint64_t>::max()}) {
+        EXPECT_EQ(replica_finish(spec, cpus, cpus, seed).ns(), finish.ns())
+            << to_string(spec.test) << ", " << cpus << " CPUs, seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(UnixBenchBaselineTest, MemoizedSuiteMatchesReplicaForAnySeed) {
+  // Default copies (one per CPU) and a fixed 4 copies, so two shapes that
+  // differ only in CPU count or only in copies both occur.
+  for (int cpus = 1; cpus <= 8; ++cpus) {
+    for (const int copies : {cpus, 4}) {
+      for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{8}}) {
+        UnixBenchOptions options;
+        options.online_cpus = cpus;
+        options.copies = copies == cpus ? -1 : copies;
+        options.per_test_duration = kShortTest;
+        options.seed = seed;
+        const UnixBenchResult result = run_unixbench(options);
+        for (int i = 0; i < kUbTestCount; ++i) {
+          const UbTestSpec& spec = ub_test_specs()[static_cast<std::size_t>(i)];
+          // run_one_test's rate: total ops over the last finish.
+          const double rate = spec.base_ops_per_s * kShortTest.seconds() *
+                              copies /
+                              replica_finish(spec, cpus, copies, seed).seconds();
+          EXPECT_EQ(result.ops_per_s[static_cast<std::size_t>(i)], rate)
+              << to_string(spec.test) << ", " << cpus << " CPUs, " << copies
+              << " copies, seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(UnixBenchBaselineTest, ConcurrentFirstCallersComputeOnce) {
+  // A shape no other test computes (3 copies on 2 CPUs, 30 ms tests), so
+  // its memo entry is absent even when several suites share one process.
+  // Four threads with four seeds ask for it at once: one computes, three
+  // wait for its result.
+  UnixBenchOptions shape;
+  shape.online_cpus = 2;
+  shape.copies = 3;
+  shape.per_test_duration = milliseconds(30);
+  const std::uint64_t before = unixbench_baselines_computed();
+  std::latch start{4};
+  std::vector<UnixBenchResult> results(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      UnixBenchOptions options = shape;
+      options.seed = static_cast<std::uint64_t>(100 + t);
+      start.arrive_and_wait();
+      results[static_cast<std::size_t>(t)] = run_unixbench(options);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(unixbench_baselines_computed(), before + 1);
+  for (const UnixBenchResult& result : results) {
+    EXPECT_EQ(result.ops_per_s, results[0].ops_per_s);
+    EXPECT_EQ(result.score, results[0].score);
+    EXPECT_EQ(result.index, results[0].index);
+  }
+  // A later request is a memo hit; one with SMIs never touches the memo.
+  (void)run_unixbench(shape);
+  UnixBenchOptions noisy = shape;
+  noisy.smi = SmiConfig::long_with_gap(20);
+  (void)run_unixbench(noisy);
+  EXPECT_EQ(unixbench_baselines_computed(), before + 1);
 }
 
 }  // namespace
