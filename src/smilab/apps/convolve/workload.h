@@ -43,9 +43,16 @@ struct ConvolveRunResult {
 
 /// Run the workload on an E5620 node with `online_cpus` logical CPUs (the
 /// paper's sysfs sweep: 1-4 = physical cores, 5-8 add HTT siblings) under
-/// the given SMI regime.
+/// the given SMI regime. An SMI-free run is computed once per process for
+/// each (online CPUs, threads, total work, HTT efficiency) and shared by
+/// every later caller, whatever its seed; concurrent first callers wait
+/// for a single computation.
 ConvolveRunResult run_convolve_sim(const ConvolveWorkload& workload,
                                    int online_cpus, const SmiConfig& smi,
                                    std::uint64_t seed);
+
+/// SMI-free runs run_convolve_sim has computed in this process (first
+/// callers for a shape, not memo lookups).
+std::uint64_t convolve_baselines_computed();
 
 }  // namespace smilab

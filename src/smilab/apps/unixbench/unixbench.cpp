@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "smilab/core/single_flight.h"
 #include "smilab/sim/system.h"
@@ -42,8 +43,9 @@ const std::array<UbTestSpec, kUbTestCount>& ub_test_specs() {
 
 namespace {
 
-/// Run one test: `copies` tasks each executing a fixed op budget in ~1 ms
-/// batches; aggregate rate = total ops / last finish.
+/// Run one test: `copies` tasks each executing a fixed op budget of ~1 ms
+/// batches; aggregate rate = total ops / last finish. A copy that owns a
+/// physical core runs its batches as one Compute plus a 1 ms tail.
 double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
                     int copies) {
   SystemConfig cfg;
@@ -61,16 +63,42 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   const int batches = std::max(
       1, static_cast<int>(options.per_test_duration / batch));
 
+  // Logical CPU t*cores + c is thread t of core c, so with at most `cores`
+  // CPUs online no HTT sibling is online, and with at most one copy per
+  // CPU none is time-shared. A batch boundary is then unobservable, and
+  // one Compute of the first batches - 1 batches plus a 1 ms tail finishes
+  // at the same nanosecond as the batched run:
+  // - the rate is exactly 1.0 (tickless kernel, node_speed_sigma = 0, no
+  //   fault model, no busy sibling), so settle and scale round nothing;
+  // - an SMM freeze mid-run adds the same refill draw, in the same CPU
+  //   order, whether it lands in work_left or in pending_overhead;
+  // - the tail queues the last completion when the last batch would have
+  //   begun, so a same-instant SMM entry still fires first, as it does in
+  //   the batched run.
+  // With an HTT sibling online, a busy sibling's batch boundary re-settles
+  // the other sibling with rounding; with more copies than CPUs, context
+  // switch charges land at batch starts. Both keep the batches.
+  // UnixBenchFusedTest checks the fused run against the batched one.
+  const bool owns_core = copies <= options.online_cpus &&
+                         options.online_cpus <= cfg.machine.cores();
+
   for (int c = 0; c < copies; ++c) {
     TaskSpec task;
     task.name = std::string{to_string(spec.test)} + "#" + std::to_string(c);
     task.node = 0;
     task.profile = spec.profile;
     task.wait_policy = WaitPolicy::kBlock;
-    // Every batch is the identical Compute, so the whole budget streams
-    // from one prototype instead of a `batches`-long vector per copy.
-    task.actions =
-        std::make_unique<RepeatActions>(Action{Compute{batch}}, batches);
+    if (owns_core) {
+      std::vector<Action> run;
+      if (batches > 1) run.emplace_back(Compute{batch * (batches - 1)});
+      run.emplace_back(Compute{batch});
+      task.actions = std::make_unique<VectorActions>(std::move(run));
+    } else {
+      // Every batch is the identical Compute, so the whole budget streams
+      // from one prototype instead of a `batches`-long vector per copy.
+      task.actions =
+          std::make_unique<RepeatActions>(Action{Compute{batch}}, batches);
+    }
     sys.spawn(std::move(task));
   }
   sys.run();

@@ -11,7 +11,9 @@
 // behaviour). Rates are calibration constants for a Westmere-class core;
 // the SMI response of the score is emergent from the simulation. Baseline
 // divisors are the real UnixBench ones, so index magnitudes are in the
-// familiar range.
+// familiar range. The batches are 1 ms Computes; when every copy owns a
+// physical core (no HTT sibling online, no CPU shared), a copy runs them as
+// one Compute plus a 1 ms tail, which finishes at the same nanosecond.
 #pragma once
 
 #include <array>

@@ -290,6 +290,7 @@ std::string SweepService::serve_line(std::string_view line) {
     w.field("errors", s.errors);
     w.field("nas_calibrations", s.nas_calibrations);
     w.field("unixbench_baselines", s.unixbench_baselines);
+    w.field("convolve_baselines", s.convolve_baselines);
     w.field("cache_hits", s.cache.hits);
     w.field("cache_misses", s.cache.misses);
     w.field("cache_insertions", s.cache.insertions);
@@ -339,6 +340,8 @@ ServiceStats SweepService::stats() const {
       static_cast<std::int64_t>(nas_calibrations_computed());
   s.unixbench_baselines =
       static_cast<std::int64_t>(unixbench_baselines_computed());
+  s.convolve_baselines =
+      static_cast<std::int64_t>(convolve_baselines_computed());
   s.workers = im.pool.workers();
   return s;
 }

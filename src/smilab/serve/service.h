@@ -54,10 +54,11 @@ struct ServiceStats {
   std::int64_t coalesced = 0;    ///< requests that joined an in-flight job
   std::int64_t errors = 0;       ///< parse/validation/simulation failures
   /// Process-wide memo fills, shared with every other caller in the
-  /// process: NAS calibrations (calibrate_nas_knob) and SMI-free UnixBench
-  /// suites (run_unixbench).
+  /// process: NAS calibrations (calibrate_nas_knob), SMI-free UnixBench
+  /// suites (run_unixbench) and SMI-free Convolve runs (run_convolve_sim).
   std::int64_t nas_calibrations = 0;
   std::int64_t unixbench_baselines = 0;
+  std::int64_t convolve_baselines = 0;
   int workers = 0;
 };
 

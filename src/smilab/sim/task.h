@@ -135,6 +135,9 @@ class ActionSource {
 /// Vector-backed source: a fully materialized program. Product MPI jobs
 /// stream theirs (mpi/streaming.h); whole rank programs reach this class
 /// only through run_mpi_job, the adapter for tests, examples and benches.
+/// Short fixed programs hold one directly: TaskSpec::with_actions, and a
+/// UnixBench copy that owns a core, which runs as two Computes
+/// (apps/unixbench/unixbench.cpp).
 class VectorActions final : public ActionSource {
  public:
   explicit VectorActions(std::vector<Action> actions)

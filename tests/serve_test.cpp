@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "smilab/apps/convolve/workload.h"
 #include "smilab/apps/nas/runner.h"
 #include "smilab/apps/unixbench/unixbench.h"
 #include "smilab/net/network.h"
@@ -412,6 +413,18 @@ TEST(ServeService, UnixbenchBaseIsSharedAcrossSeeds) {
   EXPECT_EQ(payload_field(a, "base_scores"), payload_field(b, "base_scores"));
 }
 
+TEST(ServeService, ConvolvePayloadPinned) {
+  // Captured before SMI-free Convolve runs were memoized: the memo must not
+  // move a byte of either half of the payload. Six CPUs put HTT siblings
+  // online, so the SMI-free half reads the profile's htt_efficiency.
+  const auto req = parse_ok(
+      R"({"experiment":"convolve","case":"cf","cpus":6,"smi":"long","gap_ms":200,"seed":5})");
+  EXPECT_EQ(run_experiment_payload(req),
+            R"({"base_s":3.017415771,"noisy_s":5.0343293140000007,)"
+            R"("slowdown_pct":66.842414041323067,"smi_hits":96,)"
+            R"("smm_stolen_s":10.083006744})");
+}
+
 TEST(ServeService, StatsReportProcessWideMemoFills) {
   // 3 CPUs at the default 20 s window is a UnixBench shape no other test
   // computes, so this SMI-free request is its first caller. It simulates
@@ -431,6 +444,23 @@ TEST(ServeService, StatsReportProcessWideMemoFills) {
             static_cast<std::int64_t>(before + 1));
   EXPECT_EQ(stats.nas_calibrations,
             static_cast<std::int64_t>(nas_calibrations_computed()));
+  // Convolve's SMI-free half is memoized the same way: once the first
+  // request has filled its shape (here or in an earlier test of this
+  // process), a second seed computes no new run.
+  const auto convolve = [&](const char* seed) {
+    const std::string cv = service.serve_line(
+        std::string{R"({"experiment":"convolve","case":"cu","cpus":1,)"} +
+        R"("smi":"long","gap_ms":1100,"seed":)" + seed + "}");
+    EXPECT_NE(cv.find(R"("ok":true)"), std::string::npos) << cv;
+  };
+  convolve("1");
+  const std::uint64_t convolve_filled = convolve_baselines_computed();
+  EXPECT_GE(convolve_filled, 1u);
+  convolve("2");
+  EXPECT_EQ(convolve_baselines_computed(), convolve_filled);
+  EXPECT_EQ(service.stats().convolve_baselines,
+            static_cast<std::int64_t>(convolve_filled));
+
   const std::string line = service.serve_line(R"({"op":"stats"})");
   EXPECT_NE(line.find(R"("nas_calibrations":)" +
                       std::to_string(stats.nas_calibrations) + ","),
@@ -438,6 +468,10 @@ TEST(ServeService, StatsReportProcessWideMemoFills) {
       << line;
   EXPECT_NE(line.find(R"("unixbench_baselines":)" +
                       std::to_string(before + 1) + ","),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(R"("convolve_baselines":)" +
+                      std::to_string(convolve_filled) + ","),
             std::string::npos)
       << line;
 }
