@@ -57,11 +57,13 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   System sys{cfg};
   sys.set_online_cpus(options.online_cpus);
 
-  const double per_copy_ops =
-      spec.base_ops_per_s * options.per_test_duration.seconds();
   const SimDuration batch = milliseconds(1);
   const int batches = std::max(
       1, static_cast<int>(options.per_test_duration / batch));
+  // Ops count the work simulated, not the requested window: a window that
+  // is not a whole number of milliseconds runs `batches` whole batches.
+  const double per_copy_ops =
+      spec.base_ops_per_s * (batch * batches).seconds();
 
   // Logical CPU t*cores + c is thread t of core c, so with at most `cores`
   // CPUs online no HTT sibling is online, and with at most one copy per

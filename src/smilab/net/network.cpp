@@ -31,60 +31,4 @@ NetworkParams NetworkParams::wyeast() {
   return p;
 }
 
-void NetworkModel::resize_cache(std::size_t line_hint) {
-  std::size_t set_count = kDefaultLines / kWays;
-  while (set_count * kWays < line_hint) set_count *= 2;
-  sets_.assign(set_count, Set{});
-  int log2 = 0;
-  while ((std::size_t{1} << log2) < set_count) ++log2;
-  set_shift_ = 64 - log2;
-}
-
-const NetworkModel::CostLine& NetworkModel::line(std::int64_t bytes) const {
-  Set& s = sets_[set_of(bytes)];
-  for (CostLine& l : s.way) {
-    if (l.bytes == bytes) return l;
-  }
-  // Miss: round-robin victim within the set. Any deterministic policy
-  // works — lines are pure functions of (params, bytes), so an evicted
-  // size refills to the bit-identical values on its next miss.
-  CostLine& l = s.way[s.fill];
-  s.fill = static_cast<std::uint8_t>((s.fill + 1) % kWays);
-  // Exactly the pre-memoization expressions: one division plus one
-  // addition per cost, in the same order, so cached values are
-  // bit-identical to computing on every call.
-  const double b = static_cast<double>(bytes);
-  l.bytes = bytes;
-  l.wire_xmit = params_.per_message_wire_overhead +
-                seconds_d(b / params_.bandwidth_bytes_per_s);
-  l.intra_transfer = params_.intra_latency +
-                     seconds_d(b / params_.intra_bandwidth_bytes_per_s);
-  l.send_cpu = params_.send_overhead +
-               seconds_d(b / params_.cpu_copy_bytes_per_s);
-  l.recv_cpu = params_.recv_overhead +
-               seconds_d(b / params_.cpu_copy_bytes_per_s);
-  return l;
-}
-
-void NetworkModel::warm_from(const NetworkModel& other) {
-  if (params_ != other.params_) return;
-  if (sets_.size() == other.sets_.size()) {
-    sets_ = other.sets_;
-    return;
-  }
-  // Geometry mismatch: re-home the donor's filled lines into our sets.
-  // Values carry over verbatim; only the placement is recomputed.
-  for (const Set& src : other.sets_) {
-    for (const CostLine& l : src.way) {
-      if (l.bytes < 0) continue;
-      Set& dst = sets_[set_of(l.bytes)];
-      bool present = false;
-      for (const CostLine& have : dst.way) present |= have.bytes == l.bytes;
-      if (present) continue;
-      dst.way[dst.fill] = l;
-      dst.fill = static_cast<std::uint8_t>((dst.fill + 1) % kWays);
-    }
-  }
-}
-
 }  // namespace smilab

@@ -17,10 +17,7 @@
 //   CPU (recv):    recv_overhead + B / cpu_copy_bw        (task work)
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "smilab/time/sim_time.h"
 
@@ -67,116 +64,54 @@ struct NetworkParams {
   /// The Wyeast cluster interconnect fitted to the paper's SMM-0 columns
   /// (see apps/nas/calibration notes in DESIGN.md).
   static NetworkParams wyeast();
-
-  /// Memberwise equality (gates NetworkModel::warm_from: a memo may only
-  /// be adopted between identically parameterized models).
-  [[nodiscard]] bool operator==(const NetworkParams&) const = default;
 };
 
 /// Pure cost calculator over NetworkParams (no NIC queue state; that is
-/// owned by the System's event-driven servers).
-///
-/// Message-size costs are memoized in a set-associative cache: MPI traffic
-/// reuses a handful of sizes (per-collective payloads, the ack size)
-/// millions of times per run, and each cost involves a double division.
-/// Sets are indexed by Fibonacci-hashed size with kWays lines each and
-/// round-robin fill, so the power-of-two size clusters that thrash a
-/// direct-mapped table coexist within a set. The set count scales with the
-/// simulated rank count (resize_cache; the System sizes it from
-/// node_count) because collectives over p ranks touch O(log p) distinct
-/// segment sizes — at 64k ranks a fixed 64-line table misses its way
-/// through every reduction.
-///
-/// Each line holds exactly the expressions the uncached code used — same
-/// operations, same order — so memoized results are bit-identical whatever
-/// the geometry, and the goldens cannot move. The cache is `mutable`
-/// per-model, never shared across threads (each System owns its model, and
-/// sweep workers each own their Systems).
+/// owned by the System's event-driven servers). Each cost is one division
+/// and one addition, computed on every call: a memo of them measured
+/// slower per call than the arithmetic (DESIGN.md §11).
 class NetworkModel {
  public:
-  explicit NetworkModel(NetworkParams params) : params_(params) {
-    resize_cache(kDefaultLines);
-  }
+  explicit NetworkModel(NetworkParams params) : params_(params) {}
 
   [[nodiscard]] const NetworkParams& params() const { return params_; }
 
-  /// Re-size the memo to hold about `line_hint` cost lines (rounded up to
-  /// a power-of-two set count, floor kDefaultLines). Drops every cached
-  /// line — values are pure functions of (params, bytes), so refills are
-  /// bit-identical and resizing is always safe.
-  void resize_cache(std::size_t line_hint);
-
-  /// Cost lines the memo can hold (sets × ways); for tests and reports.
-  [[nodiscard]] std::size_t cache_lines() const {
-    return sets_.size() * kWays;
-  }
-
   /// Service time of one message at one NIC stage (egress or ingress).
   [[nodiscard]] SimDuration wire_xmit(std::int64_t bytes) const {
-    return line(bytes).wire_xmit;
+    return cost(params_.per_message_wire_overhead, bytes,
+                params_.bandwidth_bytes_per_s);
   }
 
   /// End-to-end transfer time of an intra-node (shared memory) message.
   [[nodiscard]] SimDuration intra_transfer(std::int64_t bytes) const {
-    return line(bytes).intra_transfer;
+    return cost(params_.intra_latency, bytes,
+                params_.intra_bandwidth_bytes_per_s);
   }
 
   [[nodiscard]] SimDuration latency() const { return params_.latency; }
 
   /// CPU work the sender performs to hand `bytes` to the transport.
   [[nodiscard]] SimDuration send_cpu_cost(std::int64_t bytes) const {
-    return line(bytes).send_cpu;
+    return cost(params_.send_overhead, bytes, params_.cpu_copy_bytes_per_s);
   }
   /// CPU work the receiver performs to drain a matched message.
   [[nodiscard]] SimDuration recv_cpu_cost(std::int64_t bytes) const {
-    return line(bytes).recv_cpu;
+    return cost(params_.recv_overhead, bytes, params_.cpu_copy_bytes_per_s);
   }
 
   [[nodiscard]] bool is_rendezvous(std::int64_t bytes) const {
     return bytes > params_.rendezvous_threshold;
   }
 
-  /// Adopt `other`'s already-filled cost lines when the parameters match
-  /// exactly (no-op otherwise). Bit-inert by construction: every line is a
-  /// pure function of (params, bytes), so a pre-warmed line holds exactly
-  /// the values this model would compute on first miss. Works across
-  /// geometries: matching shapes copy wholesale, otherwise the donor's
-  /// lines are re-inserted into this model's sets. The serve daemon's warm
-  /// workers carry the memo from one request's System to the next so
-  /// repeated message sizes never recompute their division chain.
-  void warm_from(const NetworkModel& other);
-
-  static constexpr std::size_t kWays = 4;
-  static constexpr std::size_t kDefaultLines = 64;
-
  private:
-  struct CostLine {
-    std::int64_t bytes = -1;  // -1: empty (real sizes are >= 0)
-    SimDuration wire_xmit{};
-    SimDuration intra_transfer{};
-    SimDuration send_cpu{};
-    SimDuration recv_cpu{};
-  };
-  struct Set {
-    std::array<CostLine, kWays> way{};
-    std::uint8_t fill = 0;  ///< round-robin victim cursor (deterministic)
-  };
-
-  /// Fetch (fill on miss) the cost line for `bytes`. Defined in
-  /// network.cpp so the fill expressions sit next to the calibration data.
-  [[nodiscard]] const CostLine& line(std::int64_t bytes) const;
-
-  [[nodiscard]] std::size_t set_of(std::int64_t bytes) const {
-    // Fibonacci hashing: message sizes cluster on powers of two, which a
-    // plain low-bits index would collide badly.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(bytes) * 0x9E3779B97F4A7C15ull) >>
-        set_shift_);
+  // The calibrated expression: keep the division (a multiply by the
+  // reciprocal rounds differently and would move the goldens).
+  static SimDuration cost(SimDuration overhead, std::int64_t bytes,
+                          double bytes_per_s) {
+    return overhead + seconds_d(static_cast<double>(bytes) / bytes_per_s);
   }
 
   NetworkParams params_;
-  mutable std::vector<Set> sets_;
-  int set_shift_ = 64;  ///< 64 - log2(sets_.size())
 };
 
 }  // namespace smilab

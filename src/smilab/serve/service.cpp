@@ -3,7 +3,6 @@
 #include <atomic>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,20 +20,6 @@ namespace smilab::serve {
 
 namespace {
 
-// --- Warm worker state ------------------------------------------------------
-//
-// A pool worker's previous run leaves its NetworkModel behind here; the next
-// run on the same thread adopts the cost memo when the parameters match
-// (NetworkModel::warm_from — bit-inert, see net/network.h). Thread-local so
-// the serve pool's workers warm independently and nothing is shared.
-thread_local std::optional<NetworkModel> t_warm_net;
-
-void warm_apply(System& sys) {
-  if (t_warm_net.has_value()) sys.warm_network_memo(*t_warm_net);
-}
-
-void warm_save(const System& sys) { t_warm_net = sys.network(); }
-
 // --- Experiment runners -----------------------------------------------------
 
 /// Ring halo exchange (the `smilab faults` workload, fault-free), one rank
@@ -45,7 +30,6 @@ std::string run_ring(const ExperimentRequest& req) {
   cfg.seed = req.seed;
   cfg.smi = req.smi_config();
   System sys{cfg};
-  warm_apply(sys);
 
   const int nodes = req.ring_nodes;
   std::vector<int> placement(static_cast<std::size_t>(nodes));
@@ -55,7 +39,6 @@ std::string run_ring(const ExperimentRequest& req) {
       sys, nodes,
       ring_exchange_sources(nodes, req.ring_iters, req.ring_bytes), placement,
       WorkloadProfile{}, "serve-ring");
-  warm_save(sys);
 
   std::int64_t smi_hits = 0;
   std::int64_t messages = 0;

@@ -16,11 +16,9 @@
 //   cached: the envelope's `cached` flag varies per response, the payload
 //   bytes never do (hit-equals-miss is a test-pinned invariant).
 //
-// Warm workers: simulation jobs run on a persistent SweepPool (core/sweep.h)
-// whose threads each keep, via a thread-local in service.cpp, the
-// NetworkModel cost memo of their previous run — so a busy daemon's steady
-// state recomputes no message costs. The memo never affects results (it is
-// bit-inert by construction).
+// Persistent workers: simulation jobs run on a SweepPool (core/sweep.h)
+// whose threads outlive requests. Each job builds its own System, so no
+// simulation state carries from one request to the next.
 //
 // Determinism: nothing in serve/ reads wall-clock time or
 // non-deterministic RNG (smilint D1/D2 apply to this directory).

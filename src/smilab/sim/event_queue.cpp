@@ -58,7 +58,7 @@ EventId Engine::finish_schedule(SimTime t, std::uint32_t slot) {
   const std::uint64_t seq = next_seq_++;
   s.seq = seq;
   s.cancelled = false;
-  if (ladder_routing() && t.ns() < win_hi_ns_) {
+  if (t.ns() < win_hi_ns_) {
     ladder_insert(Entry{t, seq, slot});
   } else {
     heap_push(Entry{t, seq, slot});
@@ -270,33 +270,6 @@ void Engine::ladder_pop_front() {
   }
 }
 
-// Move every surviving ladder entry into the heap and drop the window
-// (policy installation). (time, seq) is a total order, so pop order is
-// unchanged by the migration.
-void Engine::flush_ladder() {
-  if (ladder_size_ != 0) {
-    for (Bucket& bk : buckets_) {
-      for (std::size_t i = bk.head; i < bk.v.size(); ++i) {
-        const Entry e = bk.v[i];
-        const Slot& s = slots_[e.slot];
-        if (s.cancelled && s.seq == e.seq) {
-          release_slot(e.slot);
-          --tombstones_;
-          continue;
-        }
-        heap_push(e);
-      }
-      bk.v.clear();
-      bk.head = 0;
-      bk.sorted = false;
-    }
-    ladder_size_ = 0;
-  }
-  win_hi_ns_ = std::numeric_limits<std::int64_t>::min();
-  scan_hint_ = 0;
-  win_inserted_ = 0;
-}
-
 void Engine::sweep_ladder_tombstones() {
   if (ladder_size_ == 0) return;
   for (Bucket& bk : buckets_) {
@@ -323,16 +296,42 @@ void Engine::sweep_ladder_tombstones() {
   }
 }
 
+// With a tie-break policy installed (model checking only), the entries
+// sharing the minimal instant are the candidates. Every live one sits in
+// the current bucket from the cursor on, in (time, seq) order: equal times
+// share a bucket, and the heap holds only entries past the window. They are
+// presented in that order, so decision 0 is the entry the plain pop fires.
+// The pick is rotated to the cursor, the entries it passes keep their
+// order, and pop_next consumes the cursor before the callback runs, so the
+// bucket is sorted again before anything is inserted.
+void Engine::rotate_tie_pick() {
+  Bucket& bk = buckets_[scan_hint_];
+  const SimTime t0 = bk.v[bk.head].time;
+  const auto live = [this](const Entry& e) {
+    const Slot& s = slots_[e.slot];
+    return !(s.cancelled && s.seq == e.seq);
+  };
+  std::size_t n = 0;
+  for (std::size_t i = bk.head; i < bk.v.size() && bk.v[i].time == t0; ++i) {
+    if (live(bk.v[i])) ++n;
+  }
+  if (n < 2) return;
+  std::size_t pick = tie_break_->choose(ChoiceKind::kEventTie, n);
+  assert(pick < n && "tie-break decision out of range");
+  std::size_t at = bk.head;  // skip tombstones to the pick-th live entry
+  while (!live(bk.v[at]) || pick-- != 0) ++at;
+  const auto first = bk.v.begin() + static_cast<std::ptrdiff_t>(bk.head);
+  const auto chosen = bk.v.begin() + static_cast<std::ptrdiff_t>(at);
+  std::rotate(first, chosen, chosen + 1);
+}
+
 bool Engine::pop_next() {
   if (tombstones_ != 0) drop_root_tombstones();
-  if (tie_break_ != nullptr) {  // the ladder is empty (flushed)
-    if (heap_.empty()) return false;
-    return pop_tied();
-  }
   // The heap is the far-future tier: ladder_peek is the global minimum
   // (refilling the window from the heap as needed).
   const Entry* next = ladder_peek();
   if (next == nullptr) return false;
+  if (tie_break_ != nullptr) rotate_tie_pick();
   const Entry top = *next;
   Slot& slot = slots_[top.slot];
   assert(slot.seq == top.seq);
@@ -343,43 +342,6 @@ bool Engine::pop_next() {
   InlineCallback fn = std::move(slot.fn);
   ladder_pop_front();
   release_slot(top.slot);
-  --live_;
-  ++executed_;
-  fn();
-  return true;
-}
-
-// Tie-break path (model checking only — entered iff a policy is installed).
-// Collect every live entry sharing the minimal timestamp by popping roots;
-// successive roots come off in (time, seq) order, so tie_buf_[0] is exactly
-// the entry the default pop would have fired and "decision 0 == canonical
-// schedule" holds by construction. The losers are re-pushed BEFORE the
-// chosen callback runs: it may schedule or cancel events and must see a
-// consistent heap. (time, seq) is a total order, so the re-pushed entries
-// pop in the same relative order regardless of the heap's internal layout.
-bool Engine::pop_tied() {
-  const SimTime t0 = heap_[0].time;
-  tie_buf_.clear();
-  while (!heap_.empty() && heap_[0].time == t0) {
-    tie_buf_.push_back(heap_[0]);
-    remove_root();
-    if (tombstones_ != 0) drop_root_tombstones();
-  }
-  std::size_t pick = 0;
-  if (tie_buf_.size() > 1) {
-    pick = tie_break_->choose(ChoiceKind::kEventTie, tie_buf_.size());
-    assert(pick < tie_buf_.size() && "tie-break decision out of range");
-  }
-  const Entry chosen = tie_buf_[pick];
-  for (std::size_t i = 0; i < tie_buf_.size(); ++i) {
-    if (i != pick) heap_push(tie_buf_[i]);
-  }
-  Slot& slot = slots_[chosen.slot];
-  assert(slot.seq == chosen.seq);
-  assert(chosen.time >= now_);
-  now_ = chosen.time;
-  InlineCallback fn = std::move(slot.fn);
-  release_slot(chosen.slot);
   --live_;
   ++executed_;
   fn();
@@ -417,9 +379,7 @@ bool Engine::run_until(SimTime t) {
   while (!stopped_) {
     // Peek through tombstones without executing.
     if (tombstones_ != 0) drop_root_tombstones();
-    const Entry* next = ladder_routing()
-                            ? ladder_peek()
-                            : (heap_.empty() ? nullptr : heap_.data());
+    const Entry* next = ladder_peek();
     if (next == nullptr) break;
     if (next->time > t) {
       now_ = t;

@@ -19,9 +19,12 @@
 // the previous window's occupancy each time the window is re-anchored
 // (DESIGN.md §16). (time, seq) is a total order, so it never matters which
 // tier an entry waited in. Events scheduled at exactly now() land in the
-// current bucket, whose front gap absorbs them without a memmove. The
-// heap-only reference engine in tests/engine_oracle_test.cpp pins the pop
-// order.
+// current bucket, whose front gap absorbs them without a memmove. A
+// model checker's tie-break policy picks among the same-instant entries at
+// the current bucket's cursor, so checked runs pop through the same ladder
+// as product runs. The heap-only reference engine in
+// tests/engine_oracle_test.cpp pins the pop order, with and without a
+// policy.
 #pragma once
 
 #include <cstdint>
@@ -121,14 +124,9 @@ class Engine {
   /// candidates are presented in (time, seq) order, so decision 0 is the
   /// default schedule bit-for-bit. Null (the default) keeps the plain
   /// lowest-(time, seq) pop: one pointer test, no collection pass. The
-  /// policy must outlive its installation. Installing a policy flushes the
-  /// ladder window into the heap so pop_tied sees one candidate set;
-  /// clearing it lets the heap drain back through the next window refill.
-  void set_tie_break(SchedulePolicy* policy) {
-    tie_break_ = policy;
-    if (policy != nullptr) flush_ladder();
-  }
-  [[nodiscard]] SchedulePolicy* tie_break() const { return tie_break_; }
+  /// policy must outlive its installation; it may be installed or cleared
+  /// at any point, since both pops read the same ladder.
+  void set_tie_break(SchedulePolicy* policy) { tie_break_ = policy; }
 
   /// Order-insensitive digest of the pending-event schedule: the multiset
   /// of live entry timestamps (seq and queue layout excluded — commuted
@@ -175,7 +173,7 @@ class Engine {
   };
 
   bool pop_next();  // executes one event; false if queue exhausted
-  bool pop_tied();  // pop_next with the tie-break policy consulted
+  void rotate_tie_pick();  // move the policy's same-instant pick to the cursor
   EventId finish_schedule(SimTime t, std::uint32_t slot);
   void heap_push(Entry e);
   void remove_root();
@@ -183,17 +181,11 @@ class Engine {
   void compact_tombstones();
   void release_slot(std::uint32_t slot);
 
-  /// Ladder routing is live only when no tie-break policy is installed:
-  /// pop_tied needs the whole candidate set in one structure, so policy
-  /// installation flushes the ladder (decision 0 stays the canonical
-  /// schedule either way).
-  [[nodiscard]] bool ladder_routing() const { return tie_break_ == nullptr; }
   [[nodiscard]] std::size_t bucket_index(SimTime t) const;
   void ladder_insert(Entry e);
   const Entry* ladder_peek();  // min ladder entry; refills window from heap
   void ladder_pop_front();     // consume the entry ladder_peek returned
   bool refill_window();        // re-anchor window at heap root; false: empty
-  void flush_ladder();         // move ladder entries to heap, drop window
   void sweep_ladder_tombstones();
 
   /// Pop a free slot or grow the slab. Inline: the free-list hit is three
@@ -219,14 +211,12 @@ class Engine {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   SchedulePolicy* tie_break_ = nullptr;  // null: plain (time, seq) pops
-  std::vector<Entry> tie_buf_;           // reused same-instant collection
 
   // Ladder state. The window covers [win_lo_, win_hi_ns_) split into
   // kBucketCount buckets of width_ ns; entries at or past win_hi_ns_
   // overflow into heap_. win_hi_ns_ == INT64_MIN means "no window":
-  // everything routes to the heap until the first pop re-anchors the
-  // window at the heap root (so clearing a tie-break policy mid-run needs
-  // no migration pass). Invariant while a window is live: every heap
+  // everything routes to the heap until the next pop re-anchors the
+  // window at the heap root. Invariant while a window is live: every heap
   // entry's time >= win_hi_ns_, so the ladder minimum is the global
   // minimum.
   static constexpr std::size_t kBucketCount = 512;

@@ -223,12 +223,6 @@ System::System(SystemConfig cfg)
       master_rng_(cfg.seed),
       refill_rng_(master_rng_.fork(stream_label("refill"))),
       nic_rng_(master_rng_.fork(stream_label("nic"))) {
-  // Collectives over p ranks touch O(log p) distinct segment sizes per
-  // phase and different phases use different bases, so scale the cost memo
-  // with the node count (4 lines/node keeps 64k ranks comfortably under a
-  // few MB while a 1-node run stays at the 64-line floor).
-  net_.resize_cache(std::max<std::size_t>(
-      NetworkModel::kDefaultLines, static_cast<std::size_t>(cfg.node_count) * 4));
   htt_refill_run_factor_ =
       master_rng_.fork(stream_label("htt_luck")).uniform(0.5, 1.8);
   node_speed_.resize(static_cast<std::size_t>(cfg.node_count), 1.0);
@@ -1482,24 +1476,7 @@ void System::smm_enter(int node) {
   // TCP stalls with the host: neither direction of the NIC makes progress.
   nic_pause(node, /*egress=*/true);
   nic_pause(node, /*egress=*/false);
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    if (cs.frozen) continue;  // already stopped by a single-CPU preemption
-    cs.frozen = true;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
-    if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-      settle(t);
-      ++t.epoch;  // invalidate any scheduled completion
-      engine_.cancel(t.completion_ev);
-      t.completion_ev = EventId{};
-    }
-  }
+  freeze_online_cpus(node);
 }
 
 void System::smm_exit(int node, const SmmInterval& interval) {
@@ -1550,22 +1527,11 @@ void System::smm_exit(int node, const SmmInterval& interval) {
       arm_quantum(node, i);
     }
   }
-  // Timer wake-ups that fired during the freeze are serviced now.
-  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
-  ns.deferred_wakes.clear();
-  for (const std::int32_t idx : wakes) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
-    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
-  }
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (topo.is_online(i)) dispatch(node, i);
-  }
+  release_node(node);
 }
 
-void System::preempt_cpu(int node, int cpu) {
-  assert(!node_in_smm(node) && "use SMM entry for whole-node freezes");
+void System::freeze_cpu(int node, int cpu) {
   auto& cs = cpu_state(node, cpu);
-  assert(!cs.frozen && "CPU already preempted");
   cs.frozen = true;
   if (cs.quantum_ev.valid()) {
     engine_.cancel(cs.quantum_ev);
@@ -1574,10 +1540,38 @@ void System::preempt_cpu(int node, int cpu) {
   if (cs.current >= 0) {
     TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
     settle(t);
-    ++t.epoch;
+    ++t.epoch;  // invalidate any scheduled completion
     engine_.cancel(t.completion_ev);
     t.completion_ev = EventId{};
   }
+}
+
+void System::freeze_online_cpus(int node) {
+  const Node& topo = cluster_.node(node);
+  for (int i = 0; i < topo.cpu_count(); ++i) {
+    // A CPU already stopped by a single-CPU preemption stays as it is.
+    if (topo.is_online(i) && !cpu_state(node, i).frozen) freeze_cpu(node, i);
+  }
+}
+
+void System::release_node(int node) {
+  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
+  ns.deferred_wakes.clear();
+  for (const std::int32_t idx : wakes) {
+    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
+    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
+  }
+  const Node& topo = cluster_.node(node);
+  for (int i = 0; i < topo.cpu_count(); ++i) {
+    if (topo.is_online(i)) dispatch(node, i);
+  }
+}
+
+void System::preempt_cpu(int node, int cpu) {
+  assert(!node_in_smm(node) && "use SMM entry for whole-node freezes");
+  assert(!cpu_state(node, cpu).frozen && "CPU already preempted");
+  freeze_cpu(node, cpu);
 }
 
 void System::resume_cpu(int node, int cpu) {
@@ -1666,24 +1660,7 @@ void System::fault_freeze_enter(int node) {
   nic_pause(node, /*egress=*/true);
   nic_pause(node, /*egress=*/false);
   if (ns.in_smm) return;  // CPUs already down; the freeze merely outlasts SMM
-  const Node& topo = cluster_.node(node);
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
-    if (cs.frozen) continue;  // already stopped by a single-CPU preemption
-    cs.frozen = true;
-    if (cs.quantum_ev.valid()) {
-      engine_.cancel(cs.quantum_ev);
-      cs.quantum_ev = EventId{};
-    }
-    if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
-      settle(t);
-      ++t.epoch;
-      engine_.cancel(t.completion_ev);
-      t.completion_ev = EventId{};
-    }
-  }
+  freeze_online_cpus(node);
 }
 
 void System::fault_freeze_exit(int node) {
@@ -1707,15 +1684,7 @@ void System::fault_freeze_exit(int node) {
       arm_quantum(node, i);
     }
   }
-  const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
-  ns.deferred_wakes.clear();
-  for (const std::int32_t idx : wakes) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
-    if (t.state == TaskImpl::State::kSleeping) make_ready(t);
-  }
-  for (int i = 0; i < topo.cpu_count(); ++i) {
-    if (topo.is_online(i)) dispatch(node, i);
-  }
+  release_node(node);
 }
 
 void System::kill_task(TaskImpl& t) {

@@ -318,11 +318,6 @@ class System {
 
   // --- Diagnostics ----------------------------------------------------------------
 
-  [[nodiscard]] const NetworkModel& network() const { return net_; }
-  /// Warm-start the network cost memo from a model left behind by an
-  /// earlier run with identical NetworkParams (a no-op otherwise). Used by
-  /// the serve daemon's warm workers; bit-inert — see NetworkModel::warm_from.
-  void warm_network_memo(const NetworkModel& prev) { net_.warm_from(prev); }
   /// Total bytes that crossed node boundaries.
   [[nodiscard]] std::int64_t inter_node_bytes() const { return inter_node_bytes_; }
   /// Derived per-run RNG stream (deterministic per label).
@@ -408,7 +403,15 @@ class System {
   void nic_pause(int node, bool egress);
   void nic_resume(int node, bool egress);
 
-  // SMM helpers.
+  // SMM and fault-freeze helpers.
+  /// Stop one CPU: cancel its preemption timer and settle and park the
+  /// running task (its completion event is invalidated).
+  void freeze_cpu(int node, int cpu);
+  /// freeze_cpu every online CPU of `node` not already stopped.
+  void freeze_online_cpus(int node);
+  /// End a whole-node freeze: service the timer wakes deferred during it,
+  /// then dispatch every online CPU.
+  void release_node(int node);
   void apply_refill(TaskImpl& t, Rng& rng, SimDuration frozen_for);
 
   // Fault and diagnosis helpers.

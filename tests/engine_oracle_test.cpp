@@ -15,7 +15,10 @@
 //     inserts below the anchor;
 //   * cancel bursts that trip compact_tombstones;
 //   * same-instant storms whose callbacks schedule nested wakes at now();
-//   * a tie-break policy installed and removed mid-run;
+//   * a tie-break policy installed and removed mid-run, with storms and a
+//     same-timestamp cluster above 8 x 512 entries under it, so the policy
+//     picks among long same-instant runs with cancels and nested wakes in
+//     them;
 //   * events near SimTime::max(), where the window end clamps and far
 //     entries share the last bucket.
 // After every phase both sides must agree on fire order, now(), executed,
@@ -408,6 +411,9 @@ void run_stream(std::uint64_t seed, bool rotate_ties) {
     d.sparse(200);
     d.set_tie_break(&product_policy, &reference_policy);
     d.storms(20);
+    // One cluster per stream: each of its tied pops costs the reference
+    // O(n log n), so a cluster per round would dominate the suite's time.
+    if (round == 0) d.clusters(1);
     d.sparse(500);
     d.checkpoint("under policy");
     d.set_tie_break(nullptr, nullptr);

@@ -1,7 +1,7 @@
 // Tests for the serve subsystem: JSON wire format, request
 // canonicalization, the sharded LRU result cache, the SweepService
 // (hit-equals-miss bit-equality, single-flight, concurrent-client
-// determinism — the TSan job runs Serve*), warm worker state, and the
+// determinism — the TSan job runs Serve*), persistent workers, and the
 // stream/socket front ends.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "smilab/apps/convolve/workload.h"
 #include "smilab/apps/nas/runner.h"
 #include "smilab/apps/unixbench/unixbench.h"
-#include "smilab/net/network.h"
 #include "smilab/serve/request.h"
 #include "smilab/serve/result_cache.h"
 #include "smilab/serve/server.h"
@@ -403,6 +402,35 @@ TEST(ServeService, UnixbenchPayloadPinned) {
       R"(2215.7148341223947,5428.0288184088422]})");
 }
 
+TEST(ServeService, RingPayloadPinned) {
+  // 128 KiB messages take the rendezvous path, so acks flow, and long SMIs
+  // every 200 ms pause the NIC servers mid-transfer. Served cold, then on
+  // a one-worker service right after a ring of another shape: a worker's
+  // earlier requests must not move a byte.
+  const ExperimentRequest req = parse_ok(
+      R"({"experiment":"ring","nodes":4,"iters":50,"bytes":131072,)"
+      R"("smi":"long","gap_ms":200,"seed":5})");
+  const std::string pinned =
+      R"({"elapsed_s":0.71686805200000003,"smm_stolen_s":0.84692190700000003,)"
+      R"("smi_hits":8,"messages":400,"stats_digest":"f32c28a68e4b8d0a"})";
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SweepService cold{cfg};
+  const auto first = cold.serve(req);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(*first.payload, pinned);
+
+  SweepService reused{cfg};
+  ASSERT_TRUE(reused
+                  .serve(parse_ok(R"({"experiment":"ring","nodes":3,)"
+                                  R"("iters":7,"bytes":512,"seed":9})"))
+                  .ok);
+  const auto after = reused.serve(req);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_FALSE(after.cached);
+  EXPECT_EQ(*after.payload, pinned);
+}
+
 TEST(ServeService, UnixbenchBaseIsSharedAcrossSeeds) {
   const std::string a = run_experiment_payload(parse_ok(
       R"({"experiment":"unixbench","cpus":1,"smi":"long","seed":11})"));
@@ -476,36 +504,12 @@ TEST(ServeService, StatsReportProcessWideMemoFills) {
       << line;
 }
 
-// --- Warm worker state ------------------------------------------------------
-
-TEST(ServeWarm, NetworkMemoAdoptionIsBitInert) {
-  const NetworkParams params = NetworkParams::wyeast();
-  const NetworkModel cold{params};
-  NetworkModel donor{params};
-  // Fill the donor's memo on a spread of sizes, then let a fresh model
-  // adopt it: every queried cost must be bit-identical to the cold path.
-  const std::int64_t sizes[] = {0, 1, 64, 4096, 65536, 1 << 20};
-  for (const std::int64_t b : sizes) (void)donor.wire_xmit(b);
-  NetworkModel warmed{params};
-  warmed.warm_from(donor);
-  for (const std::int64_t b : sizes) {
-    EXPECT_EQ(warmed.wire_xmit(b), cold.wire_xmit(b)) << b;
-    EXPECT_EQ(warmed.intra_transfer(b), cold.intra_transfer(b)) << b;
-    EXPECT_EQ(warmed.send_cpu_cost(b), cold.send_cpu_cost(b)) << b;
-    EXPECT_EQ(warmed.recv_cpu_cost(b), cold.recv_cpu_cost(b)) << b;
-  }
-  // Mismatched parameters refuse the memo.
-  NetworkParams other = params;
-  other.bandwidth_bytes_per_s *= 2.0;
-  NetworkModel stranger{other};
-  stranger.warm_from(donor);
-  EXPECT_NE(stranger.wire_xmit(4096), cold.wire_xmit(4096));
-}
+// --- Persistent workers ----------------------------------------------------
 
 TEST(ServeWarm, RepeatedServesOnWarmWorkersStayDeterministic) {
-  // One worker => every simulation reuses the same warm network memo;
-  // distinct seeds force re-simulation each time. Results must match a
-  // fresh single-shot service (no state leakage between requests).
+  // One worker => every simulation runs on the same pool thread; distinct
+  // seeds force re-simulation each time. Results must match a fresh
+  // single-shot service (no state leakage between requests).
   ServiceConfig warm_cfg;
   warm_cfg.workers = 1;
   SweepService warm{warm_cfg};

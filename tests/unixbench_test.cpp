@@ -44,6 +44,25 @@ TEST(UnixBenchTest, SingleCpuRatesMatchNominal) {
   EXPECT_GT(result.index, 100.0);
 }
 
+TEST(UnixBenchTest, RateIgnoresWindowRounding) {
+  // A window that is not a whole number of milliseconds simulates whole
+  // 1 ms batches; the ops it reports must come from the same work, so one
+  // SMI-free copy reads the nominal rate at any window.
+  for (const SimDuration window :
+       {microseconds(500), microseconds(2500), milliseconds(3)}) {
+    UnixBenchOptions options;
+    options.online_cpus = 1;
+    options.per_test_duration = window;
+    const UnixBenchResult result = run_unixbench(options);
+    for (int i = 0; i < kUbTestCount; ++i) {
+      const auto& spec = ub_test_specs()[static_cast<std::size_t>(i)];
+      EXPECT_DOUBLE_EQ(result.ops_per_s[static_cast<std::size_t>(i)],
+                       spec.base_ops_per_s)
+          << to_string(spec.test) << " at " << window.ns() << " ns";
+    }
+  }
+}
+
 TEST(UnixBenchTest, IndexIsGeometricMean) {
   const UnixBenchResult result = run_unixbench(quick_options(1));
   double log_sum = 0;
