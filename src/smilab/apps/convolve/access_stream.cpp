@@ -41,6 +41,18 @@ ConvolveConfig ConvolveConfig::cache_unfriendly() {
   return cfg;
 }
 
+CacheMeasurement CacheMeasurement::from_stats(const HierarchyStats& stats) {
+  CacheMeasurement result;
+  result.stats = stats;
+  result.l1_miss_rate = stats.l1_miss_rate();
+  // Effective per-reference costs (cycles): L1 1, L2 10, L3 40, memory
+  // 180. Westmere-class load-to-use latencies are about 4, 10, 40 and 180;
+  // the convolve MACs overlap some of that, an L1 hit's most of all.
+  result.avg_latency_cycles =
+      stats.average_latency_cycles(1.0, 10.0, 40.0, 180.0);
+  return result;
+}
+
 namespace {
 
 constexpr std::uint64_t kImageBase = 0x1000'0000ULL;
@@ -162,15 +174,7 @@ CacheMeasurement measure_convolve_cache(const ConvolveConfig& config,
     }
   }
 
-  CacheMeasurement result;
-  result.stats = hierarchy.stats();
-  result.l1_miss_rate = result.stats.l1_miss_rate();
-  // Westmere-class load-to-use costs (cycles): L1 4, L2 10, L3 ~40,
-  // memory ~180. The convolve MACs overlap some of this, so these act as
-  // effective per-reference costs, not absolute latencies.
-  result.avg_latency_cycles =
-      hierarchy.average_latency_cycles(1.0, 10.0, 40.0, 180.0);
-  return result;
+  return CacheMeasurement::from_stats(hierarchy.stats());
 }
 
 }  // namespace smilab

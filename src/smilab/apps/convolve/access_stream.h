@@ -63,11 +63,18 @@ struct CacheMeasurement {
   HierarchyStats stats;
   double l1_miss_rate = 0.0;
   double avg_latency_cycles = 0.0;  ///< per data reference
+
+  /// The miss rate and the per-reference latency, with Westmere-class level
+  /// costs, of `stats`. Every measurement is derived here, so a pinned copy
+  /// of a replay's counts gives the replay's doubles bit for bit.
+  static CacheMeasurement from_stats(const HierarchyStats& stats);
 };
 
 /// Replay the convolution access stream (up to `max_refs` references) of
-/// `config` through `hierarchy` and report miss behaviour plus the average
-/// per-reference latency with Westmere-class level costs.
+/// `config` through `hierarchy` and measure it (CacheMeasurement::from_stats
+/// of the hierarchy's counts). The paper workloads do not call this: they
+/// read its pinned 20M-reference results (apps/convolve/workload.cpp), and
+/// the ConvolveCacheMeasurementTest oracle replays them.
 CacheMeasurement measure_convolve_cache(const ConvolveConfig& config,
                                         CacheHierarchy hierarchy,
                                         std::int64_t max_refs = 20'000'000);

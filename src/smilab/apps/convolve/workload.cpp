@@ -14,25 +14,24 @@ namespace smilab {
 
 namespace {
 
-/// Cache-behaviour measurements are pure functions of the configuration;
-/// memoize them so repeated experiment construction stays cheap.
-const CacheMeasurement& measured_cf() {
-  static const CacheMeasurement m = measure_convolve_cache(
-      ConvolveConfig::cache_friendly(), CacheHierarchy::e5620());
-  return m;
-}
-const CacheMeasurement& measured_cu() {
-  static const CacheMeasurement m = measure_convolve_cache(
-      ConvolveConfig::cache_unfriendly(), CacheHierarchy::e5620());
-  return m;
-}
+// The paper chose its two configurations once, offline, with cachegrind;
+// these are that step's result here: the {accesses, L1 hits, L2 hits, L3
+// hits, memory accesses} of the default 20M-reference replay (access_stream.h)
+// of each configuration through CacheHierarchy::e5620(). Every process
+// would replay to the same counts. ConvolveCacheMeasurementTest's
+// ...DefaultRefs cases replay both and require these counts, and the
+// doubles CacheMeasurement::from_stats derives from them, exactly.
+constexpr HierarchyStats kCacheFriendlyStats{20'003'746, 20'000'454, 1'195, 0,
+                                             2'097};
+constexpr HierarchyStats kCacheUnfriendlyStats{20'000'010, 9'477'524, 27'207,
+                                               1'429'116, 9'066'163};
 
 }  // namespace
 
 ConvolveWorkload ConvolveWorkload::cache_friendly_workload() {
   ConvolveWorkload w;
   w.config = ConvolveConfig::cache_friendly();
-  w.cache = measured_cf();
+  w.cache = CacheMeasurement::from_stats(kCacheFriendlyStats);
   w.profile = WorkloadProfile::cache_friendly();
   w.threads = 24;
   // ~3.6s of demand per pass on one 2.4 GHz core; 8 passes ~= 29s solo.
@@ -43,7 +42,7 @@ ConvolveWorkload ConvolveWorkload::cache_friendly_workload() {
 ConvolveWorkload ConvolveWorkload::cache_unfriendly_workload() {
   ConvolveWorkload w;
   w.config = ConvolveConfig::cache_unfriendly();
-  w.cache = measured_cu();
+  w.cache = CacheMeasurement::from_stats(kCacheUnfriendlyStats);
   w.profile = WorkloadProfile::cache_unfriendly();
   w.threads = 24;
   // ~10.8s of demand per pass; 3 passes ~= 32s solo.

@@ -17,7 +17,7 @@ namespace smilab {
 
 struct ConvolveWorkload {
   ConvolveConfig config;
-  CacheMeasurement cache;   ///< measured through the hierarchy model
+  CacheMeasurement cache;   ///< the hierarchy model's pinned measurement
   WorkloadProfile profile;  ///< HTT/refill behaviour derived from the miss profile
   int threads = 24;         ///< the paper limits Convolve to 24 threads
   int repeats = 1;          ///< passes over the image (extends the run)

@@ -97,6 +97,17 @@ std::string HierarchyStats::summary() const {
   return buf;
 }
 
+double HierarchyStats::average_latency_cycles(double l1_cy, double l2_cy,
+                                              double l3_cy,
+                                              double mem_cy) const {
+  if (accesses == 0) return l1_cy;
+  return (static_cast<double>(l1_hits) * l1_cy +
+          static_cast<double>(l2_hits) * l2_cy +
+          static_cast<double>(l3_hits) * l3_cy +
+          static_cast<double>(memory_accesses) * mem_cy) /
+         static_cast<double>(accesses);
+}
+
 CacheHierarchy::CacheHierarchy(CacheConfig l1, CacheConfig l2, CacheConfig l3)
     : l1_(l1), l2_(l2), l3_(l3) {}
 
@@ -193,17 +204,6 @@ void CacheHierarchy::flush() {
   l1_.flush();
   l2_.flush();
   l3_.flush();
-}
-
-double CacheHierarchy::average_latency_cycles(double l1_cy, double l2_cy,
-                                              double l3_cy, double mem_cy) const {
-  if (stats_.accesses == 0) return l1_cy;
-  const auto n = static_cast<double>(stats_.accesses);
-  return (static_cast<double>(stats_.l1_hits) * l1_cy +
-          static_cast<double>(stats_.l2_hits) * l2_cy +
-          static_cast<double>(stats_.l3_hits) * l3_cy +
-          static_cast<double>(stats_.memory_accesses) * mem_cy) /
-         n;
 }
 
 }  // namespace smilab

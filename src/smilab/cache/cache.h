@@ -118,6 +118,11 @@ struct HierarchyStats {
                           static_cast<double>(accesses)
                     : 0.0;
   }
+  /// Average access latency in cycles given per-level costs (`l1_cy` when
+  /// nothing was accessed).
+  [[nodiscard]] double average_latency_cycles(double l1_cy, double l2_cy,
+                                              double l3_cy,
+                                              double mem_cy) const;
   [[nodiscard]] std::string summary() const;
 };
 
@@ -153,10 +158,13 @@ class CacheHierarchy {
   [[nodiscard]] const HierarchyStats& stats() const { return stats_; }
   void reset_stats() { stats_ = HierarchyStats{}; }
 
-  /// Average access latency in cycles given per-level costs; used to turn
-  /// measured miss behaviour into per-reference work for the simulator.
+  /// stats().average_latency_cycles: the measured miss behaviour as
+  /// per-reference work for the simulator.
   [[nodiscard]] double average_latency_cycles(double l1_cy, double l2_cy,
-                                              double l3_cy, double mem_cy) const;
+                                              double l3_cy,
+                                              double mem_cy) const {
+    return stats_.average_latency_cycles(l1_cy, l2_cy, l3_cy, mem_cy);
+  }
 
  private:
   SetAssocCache l1_;

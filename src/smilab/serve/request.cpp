@@ -85,6 +85,20 @@ class Fields {
   std::array<bool, 64> used_{};  // requests are small flat objects
 };
 
+/// The schema's spelling of a NAS benchmark, lowercase like the CLI's
+/// --workload (nas.h's to_string gives the tables' "EP"/"BT"/"FT").
+const char* workload_name(NasBenchmark bench) {
+  switch (bench) {
+    case NasBenchmark::kEP:
+      return "ep";
+    case NasBenchmark::kBT:
+      return "bt";
+    case NasBenchmark::kFT:
+      return "ft";
+  }
+  return "?";
+}
+
 }  // namespace
 
 const char* to_string(ExperimentKind kind) {
@@ -263,8 +277,9 @@ std::string ExperimentRequest::canonical_json() const {
   w.begin_object();
   w.field("experiment", to_string(kind));
   w.field("smi", smilab::to_string(smi));
-  w.field("gap_ms",
-          smi == SmiKind::kNone ? std::int64_t{0} : gap_ms);
+  // No gap without SMIs: it is dead (canonical_key folds it), and the 0
+  // the key mixes in its place is not a gap a request may send.
+  if (smi != SmiKind::kNone) w.field("gap_ms", gap_ms);
   w.field("seed", static_cast<std::int64_t>(seed));
   switch (kind) {
     case ExperimentKind::kRing:
@@ -273,7 +288,7 @@ std::string ExperimentRequest::canonical_json() const {
       w.field("bytes", ring_bytes);
       break;
     case ExperimentKind::kNas:
-      w.field("workload", smilab::to_string(nas.bench));
+      w.field("workload", workload_name(nas.bench));
       w.field("class", smilab::to_string(nas.cls));
       w.field("nodes", nas.nodes);
       w.field("ranks_per_node", nas.ranks_per_node);

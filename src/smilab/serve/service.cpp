@@ -1,5 +1,7 @@
 #include "smilab/serve/service.h"
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <future>
 #include <mutex>
@@ -274,6 +276,7 @@ std::string SweepService::serve_line(std::string_view line) {
     w.field("nas_calibrations", s.nas_calibrations);
     w.field("unixbench_baselines", s.unixbench_baselines);
     w.field("convolve_baselines", s.convolve_baselines);
+    w.field("peak_rss_kb", s.peak_rss_kb);
     w.field("cache_hits", s.cache.hits);
     w.field("cache_misses", s.cache.misses);
     w.field("cache_insertions", s.cache.insertions);
@@ -325,6 +328,8 @@ ServiceStats SweepService::stats() const {
       static_cast<std::int64_t>(unixbench_baselines_computed());
   s.convolve_baselines =
       static_cast<std::int64_t>(convolve_baselines_computed());
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) s.peak_rss_kb = usage.ru_maxrss;
   s.workers = im.pool.workers();
   return s;
 }

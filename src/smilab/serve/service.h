@@ -57,6 +57,10 @@ struct ServiceStats {
   std::int64_t nas_calibrations = 0;
   std::int64_t unixbench_baselines = 0;
   std::int64_t convolve_baselines = 0;
+  /// The process's peak resident set so far, in KiB
+  /// (getrusage(RUSAGE_SELF).ru_maxrss): the daemon's own memory, whoever
+  /// else shares the process.
+  std::int64_t peak_rss_kb = 0;
   int workers = 0;
 };
 

@@ -231,10 +231,13 @@ std::optional<std::int64_t> JsonValue::as_int(std::int64_t lo,
   if (type != Type::kNumber) return std::nullopt;
   const double rounded = std::nearbyint(number);
   if (rounded != number) return std::nullopt;
-  if (number < static_cast<double>(lo) || number > static_cast<double>(hi)) {
-    return std::nullopt;
-  }
-  return static_cast<std::int64_t>(number);
+  // Converting a double outside [-2^63, 2^63) to int64 is undefined, and
+  // INT64_MAX as a double rounds up to 2^63: bound the double first, then
+  // range-check the exact integer.
+  if (number < -0x1p63 || number >= 0x1p63) return std::nullopt;
+  const auto n = static_cast<std::int64_t>(number);
+  if (n < lo || n > hi) return std::nullopt;
+  return n;
 }
 
 std::optional<JsonValue> parse_json(std::string_view text,

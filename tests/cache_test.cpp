@@ -7,6 +7,7 @@
 #include <string>
 
 #include "smilab/apps/convolve/access_stream.h"
+#include "smilab/apps/convolve/workload.h"
 #include "smilab/cache/cache.h"
 
 namespace smilab {
@@ -170,6 +171,7 @@ TEST(CacheHierarchyTest, AverageLatencyWeightsLevels) {
   h.access(0x40);  // L1
   // avg of {180, 1} = 90.5
   EXPECT_NEAR(h.average_latency_cycles(1, 10, 40, 180), 90.5, 1e-9);
+  EXPECT_EQ(HierarchyStats{}.average_latency_cycles(1, 10, 40, 180), 1.0);
 }
 
 TEST(CacheHierarchyTest, AccessRunMatchesScalarLoop) {
@@ -238,31 +240,31 @@ TEST(ConvolveCacheMeasurementTest, GoldenPinCacheUnfriendly) {
   EXPECT_EQ(m.avg_latency_cycles, 85.822789917680652);
 }
 
-// The production-size replays: the default 20M references are the memo
-// every Convolve simulation reads (apps/convolve/workload.cpp). Pinned from
-// the stamped-way model the recency-ordered sets replaced.
+// The production-size replays are the oracle for the paper workloads, which
+// serve pinned copies of them (apps/convolve/workload.cpp) instead of
+// replaying 20M references in every process. Each case replays its
+// workload's configuration and requires the workload's measurement: all
+// five counts and both doubles, exactly.
+void expect_pinned_measurement_replays(const ConvolveWorkload& workload) {
+  const CacheMeasurement& pinned = workload.cache;
+  const CacheMeasurement m =
+      measure_convolve_cache(workload.config, CacheHierarchy::e5620());
+  EXPECT_EQ(m.stats.accesses, pinned.stats.accesses);
+  EXPECT_EQ(m.stats.l1_hits, pinned.stats.l1_hits);
+  EXPECT_EQ(m.stats.l2_hits, pinned.stats.l2_hits);
+  EXPECT_EQ(m.stats.l3_hits, pinned.stats.l3_hits);
+  EXPECT_EQ(m.stats.memory_accesses, pinned.stats.memory_accesses);
+  EXPECT_EQ(m.l1_miss_rate, pinned.l1_miss_rate);
+  EXPECT_EQ(m.avg_latency_cycles, pinned.avg_latency_cycles);
+}
+
 TEST(ConvolveCacheMeasurementTest, GoldenPinCacheFriendlyDefaultRefs) {
-  const CacheMeasurement m = measure_convolve_cache(
-      ConvolveConfig::cache_friendly(), CacheHierarchy::e5620());
-  EXPECT_EQ(m.stats.accesses, 20'003'746u);
-  EXPECT_EQ(m.stats.l1_hits, 20'000'454u);
-  EXPECT_EQ(m.stats.l2_hits, 1'195u);
-  EXPECT_EQ(m.stats.l3_hits, 0u);
-  EXPECT_EQ(m.stats.memory_accesses, 2'097u);
-  EXPECT_EQ(m.l1_miss_rate, 0.00016456917619329901);
-  EXPECT_EQ(m.avg_latency_cycles, 1.019302284682079);
+  expect_pinned_measurement_replays(ConvolveWorkload::cache_friendly_workload());
 }
 
 TEST(ConvolveCacheMeasurementTest, GoldenPinCacheUnfriendlyDefaultRefs) {
-  const CacheMeasurement m = measure_convolve_cache(
-      ConvolveConfig::cache_unfriendly(), CacheHierarchy::e5620());
-  EXPECT_EQ(m.stats.accesses, 20'000'010u);
-  EXPECT_EQ(m.stats.l1_hits, 9'477'524u);
-  EXPECT_EQ(m.stats.l2_hits, 27'207u);
-  EXPECT_EQ(m.stats.l3_hits, 1'429'116u);
-  EXPECT_EQ(m.stats.memory_accesses, 9'066'163u);
-  EXPECT_EQ(m.l1_miss_rate, 0.52612403693798149);
-  EXPECT_EQ(m.avg_latency_cycles, 84.941136229431891);
+  expect_pinned_measurement_replays(
+      ConvolveWorkload::cache_unfriendly_workload());
 }
 
 TEST(ConvolveCacheMeasurementTest, CacheFriendlyIsLowMiss) {

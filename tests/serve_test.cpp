@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -68,6 +69,13 @@ TEST(ServeWire, AsIntRejectsFractionsAndOutOfRange) {
   EXPECT_FALSE(v->find("f")->as_int(0, 10).has_value());
   EXPECT_FALSE(v->find("big")->as_int(0, 10).has_value());
   EXPECT_TRUE(v->find("big")->as_int(0, 1 << 20).has_value());
+  // INT64_MAX is 2^63 as a double, one past every int64: reject it rather
+  // than convert it out of range, which is undefined.
+  const auto edges = parse_json(
+      R"({"max": 9223372036854775807, "min": -9223372036854775808})", &error);
+  ASSERT_TRUE(edges.has_value());
+  EXPECT_FALSE(edges->find("max")->as_int(0, INT64_MAX).has_value());
+  EXPECT_EQ(edges->find("min")->as_int(INT64_MIN, 0), INT64_MIN);
 }
 
 TEST(ServeWire, WriterRoundTripsDoublesExactly) {
@@ -102,6 +110,19 @@ std::string parse_error(const std::string& json) {
   const auto req = ExperimentRequest::parse(*doc, &error);
   EXPECT_FALSE(req.has_value()) << json;
   return error;
+}
+
+TEST(ServeRequest, CanonicalJsonParsesToTheSameKey) {
+  // The echoed config is itself a valid request: no dead gap without SMIs,
+  // and NAS workloads in the schema's lowercase.
+  for (const char* line :
+       {R"({"experiment":"unixbench","smi":"none","gap_ms":7})",
+        R"({"experiment":"nas","workload":"bt","nodes":4,"seed":3})"}) {
+    const ExperimentRequest req = parse_ok(line);
+    EXPECT_EQ(parse_ok(req.canonical_json()).canonical_key(),
+              req.canonical_key())
+        << req.canonical_json();
+  }
 }
 
 TEST(ServeRequest, SemanticallyEqualConfigsCollide) {
@@ -502,6 +523,21 @@ TEST(ServeService, StatsReportProcessWideMemoFills) {
                       std::to_string(convolve_filled) + ","),
             std::string::npos)
       << line;
+}
+
+TEST(ServeService, StatsReportPeakRss) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  SweepService service{cfg};
+  const std::int64_t before = service.stats().peak_rss_kb;
+  EXPECT_GT(before, 0);
+  std::string error;
+  const auto doc = parse_json(service.serve_line(R"({"op":"stats"})"), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const JsonValue* peak = doc->find("peak_rss_kb");
+  ASSERT_NE(peak, nullptr);
+  // A high-water mark: never below what stats() read earlier.
+  EXPECT_TRUE(peak->as_int(before, INT64_MAX).has_value()) << peak->number;
 }
 
 // --- Persistent workers ----------------------------------------------------
