@@ -139,6 +139,9 @@ class Parser {
           case 'n': out.push_back('\n'); break;
           case 'r': out.push_back('\r'); break;
           case 't': out.push_back('\t'); break;
+          case 'u':
+            if (!parse_unicode_escape(out)) return false;
+            break;
           default:
             return set_error("unsupported escape in string");
         }
@@ -150,6 +153,69 @@ class Parser {
       out.push_back(c);
     }
     return set_error("unterminated string");
+  }
+
+  // After "\u": four hex digits, joined with a following escaped low
+  // surrogate when they name a high one; appended to `out` as UTF-8.
+  bool parse_unicode_escape(std::string& out) {
+    std::uint32_t cp = 0;
+    if (!parse_hex4(cp)) return set_error("invalid \\u escape in string");
+    if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      return set_error("unpaired surrogate in \\u escape");
+    }
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      std::uint32_t low = 0;
+      if (text_.substr(pos_, 2) != "\\u") {
+        return set_error("unpaired surrogate in \\u escape");
+      }
+      pos_ += 2;
+      if (!parse_hex4(low) || low < 0xDC00 || low > 0xDFFF) {
+        return set_error("unpaired surrogate in \\u escape");
+      }
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, cp);
+    return true;
+  }
+
+  bool parse_hex4(std::uint32_t& out) {
+    if (text_.size() - pos_ < 4) return false;
+    for (int i = 0; i < 4; ++i) {
+      const char c = text_[pos_++];
+      int digit = 0;
+      if (c >= '0' && c <= '9') {
+        digit = c - '0';
+      } else if (c >= 'a' && c <= 'f') {
+        digit = c - 'a' + 10;
+      } else if (c >= 'A' && c <= 'F') {
+        digit = c - 'A' + 10;
+      } else {
+        return false;
+      }
+      out = out * 16 + static_cast<std::uint32_t>(digit);
+    }
+    return true;
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    const auto byte = [&out](std::uint32_t b) {
+      out.push_back(static_cast<char>(b));
+    };
+    if (cp < 0x80) {
+      byte(cp);
+    } else if (cp < 0x800) {
+      byte(0xC0 | (cp >> 6));
+      byte(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      byte(0xE0 | (cp >> 12));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
+    } else {
+      byte(0xF0 | (cp >> 18));
+      byte(0x80 | ((cp >> 12) & 0x3F));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
+    }
   }
 
   bool parse_number(JsonValue& out) {
@@ -246,10 +312,59 @@ std::optional<JsonValue> parse_json(std::string_view text,
   return Parser{text, error}.run();
 }
 
+namespace {
+
+/// Length of the well-formed UTF-8 sequence starting at s[i] (Unicode
+/// Table 3-7: no overlongs, no surrogates, nothing past U+10FFFF), or 0
+/// when the bytes there do not start one. s[i] is at least 0x80.
+std::size_t utf8_sequence_length(std::string_view s, std::size_t i) {
+  const auto at = [&s](std::size_t k) {
+    return static_cast<unsigned char>(s[k]);
+  };
+  const unsigned char lead = at(i);
+  std::size_t n = 0;
+  unsigned char second_lo = 0x80;
+  unsigned char second_hi = 0xBF;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    n = 2;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    n = 3;
+    if (lead == 0xE0) second_lo = 0xA0;  // overlong below U+0800
+    if (lead == 0xED) second_hi = 0x9F;  // surrogates U+D800..U+DFFF
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    n = 4;
+    if (lead == 0xF0) second_lo = 0x90;  // overlong below U+10000
+    if (lead == 0xF4) second_hi = 0x8F;  // past U+10FFFF
+  } else {
+    return 0;
+  }
+  if (s.size() - i < n) return 0;
+  if (at(i + 1) < second_lo || at(i + 1) > second_hi) return 0;
+  for (std::size_t k = 2; k < n; ++k) {
+    if (at(i + k) < 0x80 || at(i + k) > 0xBF) return 0;
+  }
+  return n;
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      // Error lines echo client bytes: keep the output UTF-8, hence JSON,
+      // whatever arrived.
+      const std::size_t n = utf8_sequence_length(s, i);
+      if (n == 0) {
+        out += "\\ufffd";
+      } else {
+        out.append(s.substr(i, n));
+        i += n - 1;
+      }
+      continue;
+    }
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;

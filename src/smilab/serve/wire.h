@@ -3,10 +3,12 @@
 //
 // Deliberately tiny and dependency-free: the requests are flat objects of
 // scalars, so the parser supports exactly RFC-8259 structure (objects,
-// arrays, strings with the common escapes, numbers, booleans, null) minus
-// \uXXXX escapes, and preserves object key order (canonicalization is done
-// by serve/request.cpp against the *parsed* fields, so wire-level key order
-// and whitespace never matter).
+// arrays, strings with every escape — \uXXXX decodes to UTF-8, surrogate
+// pairs joined, lone surrogates rejected — numbers, booleans, null) and
+// preserves object key order (canonicalization is done by
+// serve/request.cpp against the *parsed* fields, so wire-level key order
+// and whitespace never matter). Raw string bytes are taken as they come;
+// the writer's json_escape is what keeps every emitted line UTF-8.
 //
 // Writing goes through JsonWriter, which emits keys in call order — the
 // serve daemon's cached payloads are byte-exact strings, so the writer is
@@ -50,7 +52,9 @@ struct JsonValue {
 [[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text,
                                                   std::string* error);
 
-/// Escape a string for embedding in a JSON document (adds no quotes).
+/// Escape a string for embedding in a JSON document (adds no quotes). The
+/// result is valid UTF-8 for any input: well-formed UTF-8 sequences pass
+/// unchanged, and each byte of an ill-formed one becomes \ufffd.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Append-only JSON object/array writer with deterministic number

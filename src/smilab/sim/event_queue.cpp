@@ -18,7 +18,8 @@ void Engine::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Engine::heap_push(Entry e) {
+void Engine::heap_push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  const Entry e{t, seq, slot};
   heap_.push_back(e);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -59,9 +60,9 @@ EventId Engine::finish_schedule(SimTime t, std::uint32_t slot) {
   s.seq = seq;
   s.cancelled = false;
   if (t.ns() < win_hi_ns_) {
-    ladder_insert(Entry{t, seq, slot});
+    ladder_insert(t, seq, slot);
   } else {
-    heap_push(Entry{t, seq, slot});
+    heap_push(t, seq, slot);
   }
   ++live_;
   return EventId{seq, slot};
@@ -151,12 +152,14 @@ std::size_t Engine::bucket_index(SimTime t) const {
   // bucket, and within-bucket order is by (time, seq) regardless).
   const std::int64_t lo = win_lo_.ns();
   if (t.ns() <= lo) return 0;
-  const auto idx = static_cast<std::size_t>((t.ns() - lo) / width_);
+  const auto idx = static_cast<std::size_t>(
+      static_cast<std::uint64_t>(t.ns() - lo) >> width_shift_);
   return idx < kBucketCount ? idx : kBucketCount - 1;
 }
 
-void Engine::ladder_insert(Entry e) {
-  const std::size_t b = bucket_index(e.time);
+void Engine::ladder_insert(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  const Entry e{t, seq, slot};
+  const std::size_t b = bucket_index(t);
   Bucket& bk = buckets_[b];
   if (!bk.sorted) {
     bk.v.push_back(e);
@@ -168,7 +171,7 @@ void Engine::ladder_insert(Entry e) {
     // is shorter.
     auto pos = std::upper_bound(bk.v.begin() + static_cast<std::ptrdiff_t>(
                                                    bk.head),
-                                bk.v.end(), e, before);
+                                bk.v.end(), e, Before{});
     const auto at = static_cast<std::size_t>(pos - bk.v.begin());
     if (at == bk.head && bk.head > 0) {
       bk.v[--bk.head] = e;
@@ -202,13 +205,14 @@ bool Engine::refill_window() {
   }
   if (buckets_.empty()) buckets_.resize(kBucketCount);
   if (win_inserted_ > kBucketCount * 8) {
-    width_ = std::max(kMinBucketWidthNs, width_ / 2);
+    width_shift_ = std::max(kMinBucketWidthShift, width_shift_ - 1);
   } else if (win_inserted_ * 4 < kBucketCount) {
-    width_ = std::min(kMaxBucketWidthNs, width_ * 2);
+    width_shift_ = std::min(kMaxBucketWidthShift, width_shift_ + 1);
   }
   win_inserted_ = 0;
   const std::int64_t lo = heap_[0].time.ns();
-  const std::int64_t span = width_ * static_cast<std::int64_t>(kBucketCount);
+  const std::int64_t span = static_cast<std::int64_t>(kBucketCount)
+                            << width_shift_;
   win_lo_ = SimTime{lo};
   win_hi_ns_ = lo > std::numeric_limits<std::int64_t>::max() - span
                    ? std::numeric_limits<std::int64_t>::max()
@@ -223,7 +227,7 @@ bool Engine::refill_window() {
       --tombstones_;
       continue;
     }
-    ladder_insert(e);
+    ladder_insert(e.time, e.seq, e.slot);
   }
   return true;
 }
@@ -235,7 +239,7 @@ const Engine::Entry* Engine::ladder_peek() {
         Bucket& bk = buckets_[b];
         while (bk.head < bk.v.size()) {
           if (!bk.sorted) {
-            std::sort(bk.v.begin(), bk.v.end(), before);
+            std::sort(bk.v.begin(), bk.v.end(), Before{});
             bk.sorted = true;
           }
           const Entry& e = bk.v[bk.head];

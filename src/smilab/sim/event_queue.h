@@ -160,6 +160,13 @@ class Engine {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
+  /// `before` as a function object: std::sort and std::upper_bound inline
+  /// a call through its type, where a function pointer stays indirect.
+  struct Before {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return before(a, b);
+    }
+  };
 
   /// One near-future time bucket: entries appended unsorted, sorted by
   /// (time, seq) the first time the drain cursor touches the bucket, then
@@ -175,14 +182,17 @@ class Engine {
   bool pop_next();  // executes one event; false if queue exhausted
   void rotate_tie_pick();  // move the policy's same-instant pick to the cursor
   EventId finish_schedule(SimTime t, std::uint32_t slot);
-  void heap_push(Entry e);
+  // The two inserts take an entry's fields, not an Entry: a 24-byte
+  // argument travels through the stack, and the callee's 16-byte reload of
+  // two 8-byte stores misses store forwarding on every schedule.
+  void heap_push(SimTime t, std::uint64_t seq, std::uint32_t slot);
   void remove_root();
   void drop_root_tombstones();
   void compact_tombstones();
   void release_slot(std::uint32_t slot);
 
   [[nodiscard]] std::size_t bucket_index(SimTime t) const;
-  void ladder_insert(Entry e);
+  void ladder_insert(SimTime t, std::uint64_t seq, std::uint32_t slot);
   const Entry* ladder_peek();  // min ladder entry; refills window from heap
   void ladder_pop_front();     // consume the entry ladder_peek returned
   bool refill_window();        // re-anchor window at heap root; false: empty
@@ -213,20 +223,20 @@ class Engine {
   SchedulePolicy* tie_break_ = nullptr;  // null: plain (time, seq) pops
 
   // Ladder state. The window covers [win_lo_, win_hi_ns_) split into
-  // kBucketCount buckets of width_ ns; entries at or past win_hi_ns_
-  // overflow into heap_. win_hi_ns_ == INT64_MIN means "no window":
-  // everything routes to the heap until the next pop re-anchors the
-  // window at the heap root. Invariant while a window is live: every heap
-  // entry's time >= win_hi_ns_, so the ladder minimum is the global
-  // minimum.
+  // kBucketCount buckets of 2^width_shift_ ns; entries at or past
+  // win_hi_ns_ overflow into heap_. win_hi_ns_ == INT64_MIN means "no
+  // window": everything routes to the heap until the next pop re-anchors
+  // the window at the heap root. Invariant while a window is live: every
+  // heap entry's time >= win_hi_ns_, so the ladder minimum is the global
+  // minimum. The width only ever halves or doubles between its power-of-two
+  // bounds, so it is kept as a shift and bucket_index never divides.
   static constexpr std::size_t kBucketCount = 512;
-  static constexpr std::int64_t kMinBucketWidthNs = 16;
-  static constexpr std::int64_t kMaxBucketWidthNs =
-      std::int64_t{1} << 32;  // ~4.3 s
+  static constexpr int kMinBucketWidthShift = 4;   // 16 ns
+  static constexpr int kMaxBucketWidthShift = 32;  // ~4.3 s
   std::vector<Bucket> buckets_;  // kBucketCount once first window forms
   SimTime win_lo_ = SimTime::zero();
   std::int64_t win_hi_ns_ = std::numeric_limits<std::int64_t>::min();
-  std::int64_t width_ = 1024;     // current bucket width (ns)
+  int width_shift_ = 10;          // current bucket width: 1024 ns
   std::size_t scan_hint_ = 0;     // first possibly non-empty bucket
   std::size_t ladder_size_ = 0;   // entries in buckets (incl. tombstones)
   std::size_t win_inserted_ = 0;  // inserts this window: width feedback

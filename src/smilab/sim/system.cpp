@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "smilab/core/fnv.h"
@@ -81,11 +83,15 @@ struct System::NicServer {
   [[nodiscard]] bool paused() const { return pause_depth > 0; }
 };
 
-// Field order is deliberate (64k-rank residency: every byte here is
-// paid per rank): the interpreter/scheduler state the per-action hot
-// path touches sits in the first cache lines, flags and small ints are
-// clustered so padding does not reappear between 8-byte members, and
-// cold identity/config/stats fields trail.
+// Field order is measured, hot first (DESIGN.md §16). At 64k ranks the
+// first touch of a rank's state is the costliest load on the event path,
+// so everything one action reads sits in the leading 328 bytes, roughly
+// in the order a completion event reads it: flags and small ints, the
+// work state, `profile` and `stats` (settle, current_rate, start_work,
+// reschedule_completion), the pending-ack vector every poll tests, the
+// action source, then the interpreter state and the action itself.
+// Message-path and cold fields trail: the nonblocking box, the unexpected
+// queue, ack-wake bookkeeping and the name. pin_layout() keeps that split.
 struct System::TaskImpl {
   enum class State : std::uint8_t {
     kReady,       ///< runnable, waiting for its CPU
@@ -95,7 +101,7 @@ struct System::TaskImpl {
     kDone,
   };
 
-  // --- Flag/small-int cluster (one packed block, hot path first) ---
+  // --- Flag/small-int cluster (one packed block) ---
   State state = State::kReady;
   bool on_cpu = false;
   bool queued = false;
@@ -106,6 +112,10 @@ struct System::TaskImpl {
   bool ack_arrived = false;
   bool waiting_all = false;  // parked in WaitAll
   bool maturing_acks = false;  ///< re-entrancy guard: a wake may step us
+  // Current action's Action index for the completed-action ring (only
+  // maintained when the ring is enabled; -1 = none); its start time sits
+  // in the cold tail.
+  std::int8_t action_kind = -1;
   WaitPolicy wait_policy = WaitPolicy::kSpin;
   int phase = 0;
   int wait_src = kAnySource;
@@ -116,10 +126,41 @@ struct System::TaskImpl {
   TaskId id;
   GroupId group;
 
+  // Work execution state.
+  std::uint64_t epoch = 0;
+  SimDuration work_left{};
+  SimDuration pending_overhead{};  // refill / context-switch charged at next work
+  SimTime run_since;
+  double rate = 0.0;
+  EventId completion_ev{};
+
+  WorkloadProfile profile;
+  TaskStats stats;
+
+  // Lazily matured rendezvous acks (fault-free runs; see deliver_ack):
+  // acks owed to this sender whose delivery instant is already fixed but
+  // whose effects are applied at the task's next poll — or by a wake event
+  // at the earliest delivery instant whenever the task parks first. Every
+  // poll tests the vector for emptiness, so it sits with the hot fields;
+  // its wake bookkeeping trails.
+  struct PendingAck {
+    SimTime due;
+    std::uint64_t seq = 0;  ///< delivery order among same-instant acks
+    std::uint64_t key = 0;
+  };
+  std::vector<PendingAck> pending_acks;
+
+  std::unique_ptr<ActionSource> source;
+  /// Last-sampled source->materialized_actions(), mirrored into the
+  /// System-wide program_actions_ sum by delta updates.
+  std::int64_t materialized = 0;
+
   // Current action interpreter state.
   std::uint64_t pending_ack_key = 0;  // ack we are (or will be) waiting for
   MsgHandle active_msg;               // matched message being copied
   std::optional<Action> action;
+
+  // --- Message path and cold tail ---
 
   // Nonblocking communication state (Isend/Irecv/WaitAll), boxed: a task
   // that never issues a nonblocking op never allocates it, and at 64k
@@ -149,46 +190,47 @@ struct System::TaskImpl {
     return *nbs_;
   }
 
-  // Lazily matured rendezvous acks (fault-free runs; see deliver_ack):
-  // acks owed to this sender whose delivery instant is already fixed but
-  // whose effects are applied at the task's next poll — or by a wake event
-  // at the earliest delivery instant whenever the task parks first.
-  struct PendingAck {
-    SimTime due;
-    std::uint64_t seq = 0;  ///< delivery order among same-instant acks
-    std::uint64_t key = 0;
-  };
-  std::vector<PendingAck> pending_acks;
-  std::uint64_t pending_ack_seq = 0;
-  EventId ack_wake_ev{};
-  SimTime ack_wake_due;
-
-  // Work execution state.
-  SimDuration work_left{};
-  SimDuration pending_overhead{};  // refill / context-switch charged at next work
-  SimTime run_since;
-  double rate = 0.0;
-  std::uint64_t epoch = 0;
-  EventId completion_ev{};
-
   // Arrived-but-unmatched messages, bucketed by (src, tag) with a per-tag
   // arrival-order index for kAnySource (sim/transport.h).
   UnexpectedQueue unexpected;
 
-  // --- Cold tail: identity, configuration, accounting ---
-  std::string name;
-  WorkloadProfile profile;
-  std::unique_ptr<ActionSource> source;
-  TaskStats stats;
-  /// Last-sampled source->materialized_actions(), mirrored into the
-  /// System-wide program_actions_ sum by delta updates.
-  std::int64_t materialized = 0;
-  // Current action's provenance for the completed-action ring (only
-  // maintained when the ring is enabled).
-  int action_kind = -1;
+  std::uint64_t pending_ack_seq = 0;
+  EventId ack_wake_ev{};
+  SimTime ack_wake_due;
   SimTime action_start;
+  std::string name;
+
+  // Layout pins, checked here because a member function body sees the
+  // complete class. The per-action fields (flags through `action`, read by
+  // settle, current_rate, start_work, reschedule_completion, step_action,
+  // start_next_action and inject_message) end at byte 328, ahead of every
+  // message-path and cold field, and the struct stays within 480 B, the
+  // per-rank budget the 64k-rank RSS projection was measured with.
+  // offsetof on this non-standard-layout type is conditionally supported;
+  // GCC and Clang compute it for any class without virtual bases.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  static void pin_layout() {
+    constexpr std::size_t kHotEnd = offsetof(TaskImpl, action) + sizeof(action);
+    static_assert(offsetof(TaskImpl, stats) + sizeof(TaskStats) <= kHotEnd &&
+                      offsetof(TaskImpl, profile) < kHotEnd &&
+                      offsetof(TaskImpl, source) < kHotEnd,
+                  "a per-action field moved behind the action");
+    static_assert(kHotEnd <= 328, "a field grew the per-action prefix");
+    static_assert(offsetof(TaskImpl, nbs_) >= kHotEnd &&
+                      offsetof(TaskImpl, unexpected) >= kHotEnd &&
+                      offsetof(TaskImpl, pending_ack_seq) >= kHotEnd &&
+                      offsetof(TaskImpl, ack_wake_ev) >= kHotEnd &&
+                      offsetof(TaskImpl, name) >= kHotEnd,
+                  "a message-path or cold field moved into the per-action prefix");
+    static_assert(sizeof(TaskImpl) <= 480, "per-rank residency grew");
+  }
+#pragma GCC diagnostic pop
 };
 
+/// One logical CPU's scheduler state. System::cpus_ holds every node's
+/// CPUs in one node-major array, so the rate path reaches a sibling by
+/// index arithmetic instead of walking Cluster -> Node -> NodeState.
 struct System::CpuState {
   // A vector, not a deque: runqueues are short (a few sticky tasks), and
   // an untouched vector holds no heap block — see ShortFifo above for why
@@ -196,13 +238,16 @@ struct System::CpuState {
   std::vector<std::int32_t> runqueue;  // task indices
   std::int32_t current = -1;
   bool frozen = false;
+  /// Node-local index of the HTT sibling, or -1: a copy of the static
+  /// LogicalCpu::sibling (validate() checks it). 16 bits fit the padding
+  /// after `frozen`, so the struct stays 56 B.
+  std::int16_t sibling = -1;
   EventId quantum_ev{};
   std::int32_t last_task = -1;
   int assigned = 0;  ///< sticky placements on this CPU (for balancing)
 };
 
 struct System::NodeState {
-  std::vector<CpuState> cpus;
   NicServer egress;
   NicServer ingress;
   bool in_smm = false;
@@ -233,11 +278,20 @@ System::System(SystemConfig cfg)
     }
   }
   fault_rate_.resize(static_cast<std::size_t>(cfg.node_count), 1.0);
-  node_state_.reserve(static_cast<std::size_t>(cfg.node_count));
+  node_state_.resize(static_cast<std::size_t>(cfg.node_count));
+  cpus_per_node_ = cfg.machine.logical_cpus();
+  if (cpus_per_node_ > std::numeric_limits<std::int16_t>::max()) {
+    throw SimulationError(RunStatus::kConfigError,
+                          "a node has more logical CPUs than CpuState::sibling "
+                          "can index");
+  }
+  cpus_.resize(static_cast<std::size_t>(cfg.node_count) *
+               static_cast<std::size_t>(cpus_per_node_));
   for (int n = 0; n < cfg.node_count; ++n) {
-    auto ns = std::make_unique<NodeState>();
-    ns->cpus.resize(static_cast<std::size_t>(cfg.machine.logical_cpus()));
-    node_state_.push_back(std::move(ns));
+    const Node& topo = cluster_.node(n);
+    for (int c = 0; c < cpus_per_node_; ++c) {
+      cpu_state(n, c).sibling = static_cast<std::int16_t>(topo.cpu(c).sibling);
+    }
   }
   if (cfg_.smi.enabled()) {
     smi_ = std::make_unique<SmiController>(*this, cfg_.smi);
@@ -256,15 +310,39 @@ void System::set_online_cpus(int n) {
   }
 }
 
+// Internal accessors: every index comes from the System's own state
+// (spawned task ids, placed nodes and CPUs), so they are asserted, not
+// range-checked. The public accessors below that take a caller's TaskId or
+// GroupId keep .at().
 System::TaskImpl& System::task(TaskId id) {
-  return *tasks_.at(static_cast<std::size_t>(id.value));
+  assert(id.value >= 0 && static_cast<std::size_t>(id.value) < tasks_.size());
+  return *tasks_[static_cast<std::size_t>(id.value)];
 }
 const System::TaskImpl& System::task(TaskId id) const {
-  return *tasks_.at(static_cast<std::size_t>(id.value));
+  assert(id.value >= 0 && static_cast<std::size_t>(id.value) < tasks_.size());
+  return *tasks_[static_cast<std::size_t>(id.value)];
 }
 System::CpuState& System::cpu_state(int node, int cpu) {
-  return node_state_.at(static_cast<std::size_t>(node))
-      ->cpus.at(static_cast<std::size_t>(cpu));
+  assert(node >= 0 && node < cfg_.node_count);
+  assert(cpu >= 0 && cpu < cpus_per_node_);
+  return cpus_[static_cast<std::size_t>(node) *
+                   static_cast<std::size_t>(cpus_per_node_) +
+               static_cast<std::size_t>(cpu)];
+}
+const System::CpuState& System::cpu_state(int node, int cpu) const {
+  assert(node >= 0 && node < cfg_.node_count);
+  assert(cpu >= 0 && cpu < cpus_per_node_);
+  return cpus_[static_cast<std::size_t>(node) *
+                   static_cast<std::size_t>(cpus_per_node_) +
+               static_cast<std::size_t>(cpu)];
+}
+System::NodeState& System::node_state(int node) {
+  assert(node >= 0 && static_cast<std::size_t>(node) < node_state_.size());
+  return node_state_[static_cast<std::size_t>(node)];
+}
+const System::NodeState& System::node_state(int node) const {
+  assert(node >= 0 && static_cast<std::size_t>(node) < node_state_.size());
+  return node_state_[static_cast<std::size_t>(node)];
 }
 
 // --- Groups and spawning -------------------------------------------------------
@@ -287,6 +365,14 @@ TaskId System::spawn_member(GroupId g, int rank, TaskSpec spec) {
   assert(rank >= 0 && rank < static_cast<int>(members.size()));
   assert(!members[static_cast<std::size_t>(rank)].valid() && "rank already spawned");
 
+  // The node and pinned CPU are the caller's: range-check them where they
+  // enter the System, since every later use indexes without a check.
+  if (spec.node < 0 || spec.node >= cfg_.node_count ||
+      spec.pinned_cpu >= cpus_per_node_) {
+    throw std::out_of_range("spawn: node " + std::to_string(spec.node) +
+                            " / CPU " + std::to_string(spec.pinned_cpu) +
+                            " outside the cluster");
+  }
   auto t = std::make_unique<TaskImpl>();
   t->id = TaskId{static_cast<std::int32_t>(tasks_.size())};
   t->group = g;
@@ -319,17 +405,17 @@ TaskId System::spawn_member(GroupId g, int rank, TaskSpec spec) {
 
 int System::place(const TaskSpec& spec) {
   const Node& node = cluster_.node(spec.node);
-  auto& cpus = node_state_.at(static_cast<std::size_t>(spec.node))->cpus;
   int best = -1;
   // Linux-style preference: least-loaded CPU, idle physical cores before
   // HTT siblings of busy cores, lowest index as the deterministic tie-break.
   long best_key0 = 0, best_key1 = 0;
   for (int i = 0; i < node.cpu_count(); ++i) {
     if (!node.is_online(i)) continue;
-    const int sib = node.cpu(i).sibling;
+    const CpuState& cs = cpu_state(spec.node, i);
+    const int sib = cs.sibling;
     const int sib_assigned =
-        (sib >= 0 && node.is_online(sib)) ? cpus[static_cast<std::size_t>(sib)].assigned : 0;
-    const long key0 = cpus[static_cast<std::size_t>(i)].assigned;
+        (sib >= 0 && node.is_online(sib)) ? cpu_state(spec.node, sib).assigned : 0;
+    const long key0 = cs.assigned;
     const long key1 = sib_assigned;
     if (best < 0 || key0 < best_key0 || (key0 == best_key0 && key1 < best_key1)) {
       best = i;
@@ -415,14 +501,12 @@ void System::arm_quantum(int node, int cpu) {
 // on it. Tasks with hard affinity (TaskSpec::pinned_cpu) are never moved.
 void System::steal_into(int node, int cpu) {
   const Node& topo = cluster_.node(node);
-  auto& ns = *node_state_[static_cast<std::size_t>(node)];
   int donor = -1;
   std::size_t donor_depth = 0;
   for (int i = 0; i < topo.cpu_count(); ++i) {
     if (i == cpu || !topo.is_online(i)) continue;
     std::size_t stealable = 0;
-    for (const std::int32_t idx :
-         ns.cpus[static_cast<std::size_t>(i)].runqueue) {
+    for (const std::int32_t idx : cpu_state(node, i).runqueue) {
       if (!tasks_[static_cast<std::size_t>(idx)]->pinned) ++stealable;
     }
     if (stealable > donor_depth) {
@@ -431,7 +515,7 @@ void System::steal_into(int node, int cpu) {
     }
   }
   if (donor < 0 || donor_depth == 0) return;
-  auto& donor_queue = ns.cpus[static_cast<std::size_t>(donor)].runqueue;
+  auto& donor_queue = cpu_state(node, donor).runqueue;
   // Take the most recently queued unpinned task (coldest cache footprint).
   for (auto it = donor_queue.rbegin(); it != donor_queue.rend(); ++it) {
     TaskImpl& t = *tasks_[static_cast<std::size_t>(*it)];
@@ -457,11 +541,11 @@ void System::preempt_current(int node, int cpu) {
 // --- Execution progress ----------------------------------------------------------
 
 bool System::sibling_busy(const TaskImpl& t) const {
-  const Node& node = cluster_.node(t.node);
-  const int sib = node.cpu(t.cpu).sibling;
-  if (sib < 0 || !node.is_online(sib)) return false;
-  const auto& scs = node_state_[static_cast<std::size_t>(t.node)]
-                        ->cpus[static_cast<std::size_t>(sib)];
+  const int sib = cpu_state(t.node, t.cpu).sibling;
+  if (sib < 0) return false;
+  // An offline CPU never holds a current task (validate() checks it), so an
+  // offline sibling reads as idle without consulting the topology.
+  const CpuState& scs = cpu_state(t.node, sib);
   if (scs.current < 0) return false;
   const TaskImpl& other = *tasks_[static_cast<std::size_t>(scs.current)];
   // A spin-waiting sibling (no work) uses PAUSE loops that release the
@@ -551,7 +635,7 @@ void System::on_work_complete(TaskImpl& t) {
 }
 
 void System::sibling_rate_changed(int node, int cpu) {
-  const int sib = cluster_.node(node).cpu(cpu).sibling;
+  const int sib = cpu_state(node, cpu).sibling;
   if (sib < 0) return;
   auto& scs = cpu_state(node, sib);
   if (scs.current < 0 || scs.frozen) return;
@@ -605,7 +689,7 @@ void System::start_next_action(TaskImpl& t) {
       continue;  // zero-time action; keep pulling
     }
     if (action_ring_.enabled()) {
-      t.action_kind = static_cast<int>(a->index());
+      t.action_kind = static_cast<std::int8_t>(a->index());
       t.action_start = now();
     }
     t.action = std::move(a);
@@ -970,8 +1054,8 @@ void System::step_action(TaskImpl& t) {
           // Timer interrupts are deferred while the node is frozen (SMM or
           // an injected fault stall).
           if (node_in_smm(task_ref.node) || node_fault_frozen(task_ref.node)) {
-            node_state_[static_cast<std::size_t>(task_ref.node)]
-                ->deferred_wakes.push_back(task_ref.id.value);
+            node_state(task_ref.node).deferred_wakes.push_back(
+                task_ref.id.value);
             return;
           }
           make_ready(task_ref);
@@ -1013,7 +1097,8 @@ void System::finish_task(TaskImpl& t) {
 MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
                                  std::int64_t bytes, int tag, bool needs_ack,
                                  std::uint64_t ack_key) {
-  const auto& members = groups_.at(static_cast<std::size_t>(sender.group.value));
+  assert(static_cast<std::size_t>(sender.group.value) < groups_.size());
+  const auto& members = groups_[static_cast<std::size_t>(sender.group.value)];
   assert(dst_rank >= 0 && dst_rank < static_cast<int>(members.size()));
   const TaskId dst_id = members[static_cast<std::size_t>(dst_rank)];
   assert(dst_id.valid() && "destination rank not spawned");
@@ -1056,7 +1141,7 @@ MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
 // --- NIC servers ---------------------------------------------------------------
 
 System::NicServer& System::nic(int node, bool egress) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   return egress ? ns.egress : ns.ingress;
 }
 
@@ -1225,7 +1310,8 @@ void System::on_message_arrival(MsgHandle h) {
     pool_.release(h);
     return;
   }
-  const auto& members = groups_.at(static_cast<std::size_t>(msg.group.value));
+  assert(static_cast<std::size_t>(msg.group.value) < groups_.size());
+  const auto& members = groups_[static_cast<std::size_t>(msg.group.value)];
   TaskImpl& dst = task(members[static_cast<std::size_t>(msg.dst_rank)]);
   msg.arrived = true;
   msg.arrival = now();
@@ -1455,7 +1541,7 @@ void System::ensure_ack_wake(TaskImpl& t) {
 // --- SMM ---------------------------------------------------------------------------
 
 bool System::node_in_smm(int node) const {
-  return node_state_.at(static_cast<std::size_t>(node))->in_smm;
+  return node_state(node).in_smm;
 }
 
 bool System::node_htt_active(int node) const {
@@ -1469,7 +1555,7 @@ bool System::node_htt_active(int node) const {
 }
 
 void System::smm_enter(int node) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   assert(!ns.in_smm && "nested SMM entry");
   ns.in_smm = true;
   ns.freeze_start = now();
@@ -1480,7 +1566,7 @@ void System::smm_enter(int node) {
 }
 
 void System::smm_exit(int node, const SmmInterval& interval) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   assert(ns.in_smm);
   ns.in_smm = false;
   smm_acct_.record(interval);
@@ -1512,7 +1598,7 @@ void System::smm_exit(int node, const SmmInterval& interval) {
   const Node& topo = cluster_.node(node);
   for (int i = 0; i < topo.cpu_count(); ++i) {
     if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
+    CpuState& cs = cpu_state(node, i);
     cs.frozen = false;
     if (cs.current >= 0) {
       TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
@@ -1555,7 +1641,7 @@ void System::freeze_online_cpus(int node) {
 }
 
 void System::release_node(int node) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
   ns.deferred_wakes.clear();
   for (const std::int32_t idx : wakes) {
@@ -1644,15 +1730,15 @@ void System::close_fault_record(FaultRecord::Kind kind, int node) {
 }
 
 bool System::node_fault_frozen(int node) const {
-  return node_state_.at(static_cast<std::size_t>(node))->fault_frozen;
+  return node_state(node).fault_frozen;
 }
 
 bool System::node_crashed(int node) const {
-  return node_state_.at(static_cast<std::size_t>(node))->crashed;
+  return node_state(node).crashed;
 }
 
 void System::fault_freeze_enter(int node) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   if (ns.crashed) return;
   assert(!ns.fault_frozen && "nested fault freeze");
   ns.fault_frozen = true;
@@ -1664,7 +1750,7 @@ void System::fault_freeze_enter(int node) {
 }
 
 void System::fault_freeze_exit(int node) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   if (ns.crashed) return;  // the crash superseded the stall
   assert(ns.fault_frozen);
   ns.fault_frozen = false;
@@ -1677,7 +1763,7 @@ void System::fault_freeze_exit(int node) {
   const Node& topo = cluster_.node(node);
   for (int i = 0; i < topo.cpu_count(); ++i) {
     if (!topo.is_online(i)) continue;
-    auto& cs = ns.cpus[static_cast<std::size_t>(i)];
+    CpuState& cs = cpu_state(node, i);
     cs.frozen = false;
     if (cs.current >= 0) {
       begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
@@ -1760,7 +1846,7 @@ void System::kill_task(TaskImpl& t) {
 }
 
 void System::crash_node(int node) {
-  auto& ns = *node_state_.at(static_cast<std::size_t>(node));
+  NodeState& ns = node_state(node);
   if (ns.crashed) return;
   ns.crashed = true;
   if (ns.fault_frozen) {
@@ -1802,7 +1888,7 @@ void System::set_node_fault_rate(int node, double scale) {
     close_fault_record(FaultRecord::Kind::kSlowNode, node);
   }
   slot = scale;
-  if (node_state_[static_cast<std::size_t>(node)]->crashed) return;
+  if (node_state(node).crashed) return;
   // Re-pace everything currently executing on the node.
   const Node& topo = cluster_.node(node);
   for (int i = 0; i < topo.cpu_count(); ++i) {
@@ -1820,7 +1906,7 @@ void System::set_node_fault_rate(int node, double scale) {
 }
 
 void System::set_link_down(int node, bool down) {
-  if (node_state_.at(static_cast<std::size_t>(node))->crashed) return;
+  if (node_state(node).crashed) return;
   if (down) {
     fault_log_.push_back(
         {FaultRecord::Kind::kLinkDown, node, now(), SimTime{-1}});
@@ -1839,12 +1925,27 @@ void System::validate() const {
   auto fail = [](const std::string& what) {
     throw std::logic_error("System::validate: " + what);
   };
-  // CPU <-> task cross-references.
+  // CPU <-> task cross-references, and the two facts the flat per-CPU
+  // array relies on: each entry's sibling copy matches the topology, and
+  // no offline CPU holds a current task (so sibling_busy may read an
+  // offline sibling's empty `current` instead of its online flag).
+  if (cpus_.size() != static_cast<std::size_t>(cluster_.node_count()) *
+                          static_cast<std::size_t>(cpus_per_node_)) {
+    fail("per-CPU array does not cover every node's CPUs");
+  }
   for (int n = 0; n < cluster_.node_count(); ++n) {
-    const auto& ns = *node_state_[static_cast<std::size_t>(n)];
+    const NodeState& ns = node_state(n);
     const Node& topo = cluster_.node(n);
+    if (topo.cpu_count() != cpus_per_node_) {
+      fail("node " + std::to_string(n) + " CPU count disagrees with the per-CPU array");
+    }
     for (int c = 0; c < topo.cpu_count(); ++c) {
-      const auto& cs = ns.cpus[static_cast<std::size_t>(c)];
+      const CpuState& cs = cpu_state(n, c);
+      if (cs.sibling != topo.cpu(c).sibling) {
+        fail("cpu " + std::to_string(n) + "/" + std::to_string(c) +
+             " caches sibling " + std::to_string(cs.sibling) +
+             ", topology says " + std::to_string(topo.cpu(c).sibling));
+      }
       if (cs.current >= 0) {
         const TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
         if (!t.on_cpu || t.node != n || t.cpu != c) {
@@ -1878,9 +1979,7 @@ void System::validate() const {
     }
     if (t.on_cpu && t.queued) fail("task '" + t.name + "' both on CPU and queued");
     if (t.on_cpu) {
-      const auto& cs = node_state_[static_cast<std::size_t>(t.node)]
-                           ->cpus[static_cast<std::size_t>(t.cpu)];
-      if (cs.current != t.id.value) {
+      if (cpu_state(t.node, t.cpu).current != t.id.value) {
         fail("task '" + t.name + "' thinks it is current but is not");
       }
     }
@@ -2169,11 +2268,17 @@ bool System::run_for(SimDuration d) { return engine_.run_until(now() + d); }
 
 bool System::all_finished() const { return unfinished_tasks_ == 0; }
 
-const TaskStats& System::task_stats(TaskId t) const { return task(t).stats; }
+const TaskStats& System::task_stats(TaskId t) const {
+  return tasks_.at(static_cast<std::size_t>(t.value))->stats;
+}
 
-const std::string& System::task_name(TaskId t) const { return task(t).name; }
+const std::string& System::task_name(TaskId t) const {
+  return tasks_.at(static_cast<std::size_t>(t.value))->name;
+}
 
-int System::task_node(TaskId t) const { return task(t).node; }
+int System::task_node(TaskId t) const {
+  return tasks_.at(static_cast<std::size_t>(t.value))->node;
+}
 
 SimDuration System::total_true_cpu_time() const {
   SimDuration total{};

@@ -345,6 +345,9 @@ class System {
   TaskImpl& task(TaskId id);
   const TaskImpl& task(TaskId id) const;
   CpuState& cpu_state(int node, int cpu);
+  const CpuState& cpu_state(int node, int cpu) const;
+  NodeState& node_state(int node);
+  const NodeState& node_state(int node) const;
 
   // Placement and scheduling.
   int place(const TaskSpec& spec);
@@ -437,7 +440,11 @@ class System {
 
   std::vector<std::unique_ptr<TaskImpl>> tasks_;
   std::vector<std::vector<TaskId>> groups_;
-  std::vector<std::unique_ptr<NodeState>> node_state_;
+  std::vector<NodeState> node_state_;
+  /// Every node's logical CPUs, node-major: node n's CPU c is
+  /// cpus_[n * cpus_per_node_ + c].
+  std::vector<CpuState> cpus_;
+  int cpus_per_node_ = 0;
   MessagePool pool_;
   AckRouter ack_router_;
   std::uint64_t next_ack_key_ = 1;

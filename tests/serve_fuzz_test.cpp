@@ -6,8 +6,9 @@
 //   * parsing gives a request or an error message, never both or neither;
 //   * a parsed experiment re-renders (canonical_json) to a line that parses
 //     to the same content address;
-//   * serve_line answers exactly one line of JSON: an object whose first
-//     member is the boolean `ok`, false exactly when parsing failed.
+//   * serve_line answers exactly one line of JSON: valid UTF-8 (error
+//     lines echo client bytes), an object whose first member is the
+//     boolean `ok`, false exactly when parsing failed.
 // Experiments that parse are served only while they stay cheap (see
 // `cheap`), so the fuzzer runs well under a second in Release; the rest
 // still exercise the parser and the key.
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "smilab/serve/request.h"
@@ -131,6 +133,35 @@ std::string mutate(Rng& rng) {
   return line;
 }
 
+/// RFC 3629 validity, checked by decoding rather than by the byte-range
+/// table serve/wire.cpp's escaper uses: every sequence decodes to a scalar
+/// value in its length's range (no overlongs), outside the surrogates and
+/// at most U+10FFFF.
+bool valid_utf8(std::string_view s) {
+  static constexpr std::uint32_t kMinForLength[] = {0, 0, 0x80, 0x800, 0x10000};
+  for (std::size_t i = 0; i < s.size();) {
+    const auto lead = static_cast<unsigned char>(s[i]);
+    const std::size_t n = lead < 0x80           ? 1
+                          : (lead >> 5) == 0x6  ? 2
+                          : (lead >> 4) == 0xE  ? 3
+                          : (lead >> 3) == 0x1E ? 4
+                                                : 0;
+    if (n == 0 || s.size() - i < n) return false;
+    std::uint32_t cp = n == 1 ? lead : lead & (0x7Fu >> n);
+    for (std::size_t k = 1; k < n; ++k) {
+      const auto cont = static_cast<unsigned char>(s[i + k]);
+      if ((cont >> 6) != 0x2) return false;
+      cp = (cp << 6) | (cont & 0x3Fu);
+    }
+    if (cp < kMinForLength[n] || cp > 0x10FFFF ||
+        (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += n;
+  }
+  return true;
+}
+
 /// Whether serving `r` stays within the fuzzer's budget: rings of at most
 /// 1000 rank-iterations of at most 1 MiB messages, SMI-free Convolve (its
 /// memoized baseline), UnixBench on 1, 2 or 4 CPUs (one Compute per copy),
@@ -191,6 +222,7 @@ TEST(ServeFuzzTest, MutatedRequestLinesParseOrFailAndAnswerOneJsonLine) {
 
     const std::string response = service.serve_line(line);
     EXPECT_EQ(response.find_first_of("\n\r"), std::string::npos) << response;
+    EXPECT_TRUE(valid_utf8(response)) << response;
     std::string json_error;
     const auto doc = parse_json(response, &json_error);
     ASSERT_TRUE(doc.has_value()) << response << ": " << json_error;

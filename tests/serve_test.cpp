@@ -92,6 +92,49 @@ TEST(ServeWire, WriterRoundTripsDoublesExactly) {
   EXPECT_EQ(v->find("s")->string, "a\"b\\c\n");
 }
 
+TEST(ServeWire, ParsesUnicodeEscapes) {
+  std::string error;
+  const auto v = parse_json(
+      R"(["\u0041\u00e9\u20AC", "\ud83d\ude00", "a\u0000b"])", &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  ASSERT_EQ(v->elements.size(), 3u);
+  EXPECT_EQ(v->elements[0].string, "A\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(v->elements[1].string, "\xF0\x9F\x98\x80");  // surrogate pair
+  EXPECT_EQ(v->elements[2].string, std::string("a\0b", 3));
+  for (const char* bad : {R"("\u12")", R"("\uzzzz")", R"("\ud800")",
+                          R"("\ud800x")", R"("\udc00")",
+                          R"("\ud800A")"}) {
+    error.clear();
+    EXPECT_FALSE(parse_json(bad, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
+TEST(ServeWire, EscapeKeepsAnyBytesValidUtf8) {
+  // Well-formed UTF-8 of every length passes unchanged.
+  const std::string valid = "a\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80";
+  EXPECT_EQ(json_escape(valid), valid);
+  // Each byte of an ill-formed sequence becomes \ufffd: bytes UTF-8 never
+  // uses, a stray continuation byte, an overlong '/', the surrogate
+  // U+D800, a code point past U+10FFFF and a truncated sequence.
+  EXPECT_EQ(json_escape("\xFF\xFE"), "\\ufffd\\ufffd");
+  EXPECT_EQ(json_escape("x\x80y"), "x\\ufffdy");
+  EXPECT_EQ(json_escape("\xC0\xAF"), "\\ufffd\\ufffd");
+  EXPECT_EQ(json_escape("\xED\xA0\x80"), "\\ufffd\\ufffd\\ufffd");
+  EXPECT_EQ(json_escape("\xF4\x90\x80\x80"),
+            "\\ufffd\\ufffd\\ufffd\\ufffd");
+  EXPECT_EQ(json_escape("\xE2\x82"
+                        "z"),
+            "\\ufffd\\ufffdz");
+  // The reader decodes what the writer emits: valid characters round-trip
+  // and each bad byte reads back as U+FFFD.
+  std::string error;
+  const auto v =
+      parse_json("\"" + json_escape(valid + "\xFF") + "\"", &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  EXPECT_EQ(v->string, valid + "\xEF\xBF\xBD");
+}
+
 // --- Request canonicalization ----------------------------------------------
 
 ExperimentRequest parse_ok(const std::string& json) {
@@ -373,6 +416,10 @@ TEST(ServeService, ServeLineEnvelopesAndErrors) {
   const std::string unknown =
       service.serve_line(R"({"experiment":"ring","warp":9})");
   EXPECT_NE(unknown.find("warp"), std::string::npos) << unknown;
+  // An echoed name that is not UTF-8 comes back escaped, so the error line
+  // stays JSON.
+  EXPECT_EQ(service.serve_line("{\"experiment\":\"\xFF\xFE\"}"),
+            R"({"ok":false,"error":"unknown experiment '\ufffd\ufffd'"})");
   EXPECT_EQ(service.serve_line(R"({"op":"ping"})"),
             R"({"ok":true,"op":"ping"})");
   const std::string stats = service.serve_line(R"({"op":"stats"})");

@@ -129,6 +129,38 @@ TEST(SystemHttTest, RateRecoversWhenSiblingFinishes) {
   EXPECT_NEAR(wall_seconds(sys.task_stats(long_id)), 2.0, 1e-5);
 }
 
+TEST(SystemHttTest, FullHttNodeKeepsCpuInvariants) {
+  // validate() with HTT on: 8 CPUs online and 8 unplaced tasks, which fill
+  // the four cores first (CPUs 0-3) and then their siblings (CPUs 4-7), so
+  // both threads of every core are busy. validate() checks each CPU's
+  // cached sibling against the topology while every CPU runs, and again
+  // after the run. The finish times show the rate path saw the siblings:
+  // 0.5 s at half speed ends at 1 s, after which the 1.5 s tasks finish
+  // their last second alone.
+  System sys{base_config()};
+  sys.set_online_cpus(8);
+  ASSERT_TRUE(sys.node_htt_active(0));
+  WorkloadProfile profile;
+  profile.htt_efficiency = 0.5;
+  std::vector<TaskId> ids;
+  for (int i = 0; i < 8; ++i) {
+    TaskSpec spec = TaskSpec::with_actions(
+        "t" + std::to_string(i), 0,
+        compute_only(seconds_d(i < 4 ? 0.5 : 1.5)));
+    spec.profile = profile;
+    ids.push_back(sys.spawn(std::move(spec)));
+  }
+  sys.run_for(milliseconds(500));
+  sys.validate();
+  sys.run();
+  sys.validate();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_NEAR(wall_seconds(sys.task_stats(ids[static_cast<std::size_t>(i)])),
+                i < 4 ? 1.0 : 2.0, 1e-5)
+        << "task " << i;
+  }
+}
+
 TEST(SystemSchedulerTest, OversubscriptionTimeshares) {
   // Two equal tasks pinned to one CPU: each takes ~2x its solo time and
   // they finish within one quantum of each other.
@@ -507,6 +539,23 @@ TEST(SystemTopologyTest, OnlineCpuSweepLimitsPlacement) {
   }
   sys.run();
   EXPECT_GE(sys.last_finish_time().seconds(), 2.0 - 1e-6);
+}
+
+TEST(SystemTopologyTest, SpawnRejectsNodeOrCpuOutsideTheCluster) {
+  // The node and pinned CPU come from the caller; the System indexes its
+  // per-node and per-CPU state without a check after spawn, so spawn
+  // refuses them up front and the run still works afterwards.
+  System sys{base_config()};
+  TaskSpec off_cluster = TaskSpec::with_actions("n", 1, compute_only(seconds(1)));
+  EXPECT_THROW(sys.spawn(std::move(off_cluster)), std::out_of_range);
+  TaskSpec off_node = TaskSpec::with_actions("c", 0, compute_only(seconds(1)));
+  off_node.pinned_cpu = 8;  // the E5620 node has CPUs 0-7
+  EXPECT_THROW(sys.spawn(std::move(off_node)), std::out_of_range);
+  EXPECT_EQ(sys.task_count(), 0);
+  const TaskId ok = sys.spawn(TaskSpec::with_actions("ok", 0, compute_only(seconds(1))));
+  sys.run();
+  EXPECT_TRUE(sys.task_stats(ok).finished);
+  sys.validate();
 }
 
 TEST(SystemTopologyTest, GroupFinishTimeIsMaxOverRanks) {
