@@ -137,10 +137,10 @@ struct System::TaskImpl {
   WorkloadProfile profile;
   TaskStats stats;
 
-  // Lazily matured rendezvous acks (fault-free runs; see deliver_ack):
-  // acks owed to this sender whose delivery instant is already fixed but
-  // whose effects are applied at the task's next poll — or by a wake event
-  // at the earliest delivery instant whenever the task parks first. Every
+  // Lazily matured rendezvous acks (see deliver_ack): acks owed to this
+  // sender whose delivery instant is already fixed but whose effects are
+  // applied at the task's next poll — or by a wake event at the earliest
+  // delivery instant whenever the task parks or has ended first. Every
   // poll tests the vector for emptiness, so it sits with the hot fields;
   // its wake bookkeeping trails.
   struct PendingAck {
@@ -738,7 +738,7 @@ int System::wa_first_ready(const TaskImpl& t) {
 
 // The per-action state machine. Invoked whenever the task is on its CPU,
 // unfrozen, and needs driving: action entry, work completion, wait
-// satisfaction, post-SMM resume.
+// satisfaction, post-SMM resume. Phase numbers feed progress_digest.
 void System::step_action(TaskImpl& t) {
   assert(t.on_cpu);
   // Apply any rendezvous acks whose delivery instant has passed before the
@@ -757,10 +757,9 @@ void System::step_action(TaskImpl& t) {
     if (t.phase == 0) {
       t.phase = 1;
       start_work(t, comp->work);
-      return;
+    } else {
+      end_action(t);
     }
-    t.action.reset();
-    start_next_action(t);
     return;
   }
 
@@ -770,35 +769,13 @@ void System::step_action(TaskImpl& t) {
         t.phase = 1;
         start_work(t, net_.send_cpu_cost(send->bytes));
         return;
-      case 1: {  // hand to the wire
-        const bool needs_ack = net_.is_rendezvous(send->bytes);
-        const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-        const MsgHandle h = inject_message(t, send->dst_rank, send->bytes,
-                                           send->tag, needs_ack, key);
-        if (!needs_ack) {
-          t.action.reset();
-          start_next_action(t);
-          return;
-        }
-        ack_router_.add(key, AckTarget{t.id, /*nb_handle=*/-1, h,
-                                       send->dst_rank, send->tag});
-        t.pending_ack_key = key;
-        t.phase = 2;
+      case 1:  // hand to the wire; a rendezvous send then waits for its ack
+        t.pending_ack_key = inject_message(t, send->dst_rank, send->bytes,
+                                           send->tag, /*nb_handle=*/-1);
+        if (t.pending_ack_key != 0) t.phase = 2;
         [[fallthrough]];
-      }
-      case 2:  // rendezvous: wait for the receiver's completion ack
-        if (t.ack_arrived) {
-          t.action.reset();
-          start_next_action(t);
-          return;
-        }
-        t.waiting_ack = true;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+      case 2:
+        await_own_ack(t);
         return;
       default:
         assert(false);
@@ -807,38 +784,13 @@ void System::step_action(TaskImpl& t) {
 
   if (auto* recv = std::get_if<Recv>(&*t.action)) {
     switch (t.phase) {
-      case 0: {  // wait for / match the message
-        MessageRec* msg = nullptr;
-        if (try_match_recv(t, recv->src_rank, recv->tag, &msg)) {
-          t.phase = 1;
-          SimDuration cost = net_.recv_cpu_cost(msg->bytes);
-          if (msg->arrived_during_smm && node_htt_active(t.node)) {
-            cost = scale(cost, cfg_.post_smi_drain_factor);
-          }
-          start_work(t, cost);
-          return;
-        }
-        t.waiting_msg = true;
-        t.wait_src = recv->src_rank;
-        t.wait_tag = recv->tag;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+      case 0:  // wait for / match the message, then copy it
+        if (start_recv(t, recv->src_rank, recv->tag)) t.phase = 1;
         return;
-      }
-      case 1: {  // copy complete
-        assert(t.active_msg.valid());
-        const MsgHandle h = t.active_msg;
-        t.active_msg = MsgHandle{};
-        t.stats.messages_received += 1;
-        retire_copied(t, h);
-        t.action.reset();
-        start_next_action(t);
+      case 1:  // copy complete
+        finish_copy(t, t.active_msg);
+        end_action(t);
         return;
-      }
       default:
         assert(false);
     }
@@ -850,62 +802,20 @@ void System::step_action(TaskImpl& t) {
         t.phase = 1;
         start_work(t, net_.send_cpu_cost(sr->send_bytes));
         return;
-      case 1: {  // inject send, then progress the receive half
+      case 1:  // inject the send once, then progress the receive half
         if (!t.sr_send_injected) {
           t.sr_send_injected = true;
-          const bool needs_ack = net_.is_rendezvous(sr->send_bytes);
-          const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-          const MsgHandle h = inject_message(t, sr->dst_rank, sr->send_bytes,
-                                             sr->send_tag, needs_ack, key);
-          if (needs_ack) {
-            ack_router_.add(key, AckTarget{t.id, /*nb_handle=*/-1, h,
-                                           sr->dst_rank, sr->send_tag});
-          }
-          t.pending_ack_key = needs_ack ? key : 0;
+          t.pending_ack_key = inject_message(t, sr->dst_rank, sr->send_bytes,
+                                             sr->send_tag, /*nb_handle=*/-1);
         }
-        MessageRec* msg = nullptr;
-        if (try_match_recv(t, sr->src_rank, sr->recv_tag, &msg)) {
-          t.phase = 2;
-          SimDuration cost = net_.recv_cpu_cost(msg->bytes);
-          if (msg->arrived_during_smm && node_htt_active(t.node)) {
-            cost = scale(cost, cfg_.post_smi_drain_factor);
-          }
-          start_work(t, cost);
-          return;
-        }
-        t.waiting_msg = true;
-        t.wait_src = sr->src_rank;
-        t.wait_tag = sr->recv_tag;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        if (start_recv(t, sr->src_rank, sr->recv_tag)) t.phase = 2;
         return;
-      }
-      case 2: {  // recv copy complete
-        assert(t.active_msg.valid());
-        const MsgHandle h = t.active_msg;
-        t.active_msg = MsgHandle{};
-        t.stats.messages_received += 1;
-        retire_copied(t, h);
+      case 2:  // recv copy complete
+        finish_copy(t, t.active_msg);
         t.phase = 3;
         [[fallthrough]];
-      }
       case 3:  // wait for our own send's ack, if rendezvous
-        if (t.pending_ack_key == 0 || t.ack_arrived) {
-          t.action.reset();
-          start_next_action(t);
-          return;
-        }
-        t.waiting_ack = true;
-        ensure_ack_wake(t);
-        if (t.wait_policy == WaitPolicy::kBlock) {
-          t.state = TaskImpl::State::kBlocked;
-          stop_running(t, /*keep_on_cpu=*/false);
-          dispatch(t.node, t.cpu);
-        }
+        await_own_ack(t);
         return;
       default:
         assert(false);
@@ -922,19 +832,10 @@ void System::step_action(TaskImpl& t) {
         NbHandleTable::Entry& entry = t.nbs().table.open_slot(isend->handle,
                                                               /*is_send=*/true);
         entry.peer = isend->dst_rank;
-        const bool needs_ack = net_.is_rendezvous(isend->bytes);
-        const std::uint64_t key = needs_ack ? next_ack_key_++ : 0;
-        const MsgHandle h = inject_message(t, isend->dst_rank, isend->bytes,
-                                           isend->tag, needs_ack, key);
-        if (needs_ack) {
-          entry.ack_key = key;
-          ack_router_.add(key, AckTarget{t.id, isend->handle, h,
-                                         isend->dst_rank, isend->tag});
-        } else {
-          entry.complete = true;  // eager: locally complete at injection
-        }
-        t.action.reset();
-        start_next_action(t);
+        entry.ack_key = inject_message(t, isend->dst_rank, isend->bytes,
+                                       isend->tag, isend->handle);
+        entry.complete = entry.ack_key == 0;  // eager: complete at injection
+        end_action(t);
         return;
       }
       default:
@@ -951,22 +852,21 @@ void System::step_action(TaskImpl& t) {
     entry.tag = irecv->tag;
     // Match an already-arrived message immediately (late post); only
     // still-waiting receives enter the posted-by-tag index.
-    MessageRec* msg = nullptr;
-    if (try_match_recv(t, irecv->src_rank, irecv->tag, &msg)) {
+    if (try_match_recv(t, irecv->src_rank, irecv->tag) != nullptr) {
       entry.data_arrived = true;
       entry.msg = t.active_msg;
       t.active_msg = MsgHandle{};
     } else {
       nb_table.post_recv(irecv->handle);
     }
-    t.action.reset();
-    start_next_action(t);
+    end_action(t);
     return;
   }
 
   if (auto* wait = std::get_if<WaitAll>(&*t.action)) {
-    // Not parked while actively progressing: a wake that lands during a
-    // receive copy must not re-enter this state machine (see wake_waitall).
+    // Not parked while actively progressing: arrivals and acks wake a
+    // WaitAll only while `waiting_all` is set, so one that lands during a
+    // receive copy cannot re-enter this state machine.
     t.waiting_all = false;
     TaskImpl::NbState& nb = t.nbs();
     if (!nb.wa_armed) {
@@ -996,10 +896,7 @@ void System::step_action(TaskImpl& t) {
       assert(entry != nullptr);
       entry->complete = true;
       --nb.wa_incomplete;
-      t.stats.messages_received += 1;
-      const MsgHandle done = entry->msg;
-      entry->msg = MsgHandle{};
-      retire_copied(t, done);
+      finish_copy(t, entry->msg);
       nb.active_nb_handle = -1;
       t.phase = 0;
     }
@@ -1016,71 +913,126 @@ void System::step_action(TaskImpl& t) {
       // Progress this receive now: CPU-side copy.
       nb.active_nb_handle = h;
       t.phase = 1;
-      const MessageRec& msg = pool_.ref(entry->msg);
-      SimDuration cost = net_.recv_cpu_cost(msg.bytes);
-      if (msg.arrived_during_smm && node_htt_active(t.node)) {
-        cost = scale(cost, cfg_.post_smi_drain_factor);
-      }
-      start_work(t, cost);
+      start_copy(t, pool_.ref(entry->msg));
       return;
     }
     if (nb.wa_incomplete == 0) {
       for (const int h : wait->handles) nb.table.close(h);
-      t.waiting_all = false;
       nb.wa_armed = false;
-      t.action.reset();
-      start_next_action(t);
+      end_action(t);
       return;
     }
     t.waiting_all = true;
-    ensure_ack_wake(t);
-    if (t.wait_policy == WaitPolicy::kBlock) {
-      t.state = TaskImpl::State::kBlocked;
-      stop_running(t, /*keep_on_cpu=*/false);
-      dispatch(t.node, t.cpu);
-    }
+    park(t);
     return;
   }
 
   if (auto* sleep = std::get_if<Sleep>(&*t.action)) {
-    switch (t.phase) {
-      case 0: {
-        t.phase = 1;
-        t.state = TaskImpl::State::kSleeping;
-        stop_running(t, /*keep_on_cpu=*/false);
-        engine_.schedule_after(sleep->dur, [this, id = t.id] {
-          TaskImpl& task_ref = task(id);
-          if (task_ref.state != TaskImpl::State::kSleeping) return;
-          // Timer interrupts are deferred while the node is frozen (SMM or
-          // an injected fault stall).
-          if (node_in_smm(task_ref.node) || node_fault_frozen(task_ref.node)) {
-            node_state(task_ref.node).deferred_wakes.push_back(
-                task_ref.id.value);
-            return;
-          }
-          make_ready(task_ref);
-        });
-        dispatch(t.node, t.cpu);
+    if (t.phase == 1) {
+      end_action(t);
+      return;
+    }
+    t.phase = 1;
+    t.state = TaskImpl::State::kSleeping;
+    stop_running(t, /*keep_on_cpu=*/false);
+    engine_.schedule_after(sleep->dur, [this, id = t.id] {
+      TaskImpl& task_ref = task(id);
+      if (task_ref.state != TaskImpl::State::kSleeping) return;
+      // Timer interrupts are deferred while the node is frozen (SMM or an
+      // injected fault stall).
+      if (node_in_smm(task_ref.node) || node_fault_frozen(task_ref.node)) {
+        node_state(task_ref.node).deferred_wakes.push_back(task_ref.id.value);
         return;
       }
-      case 1:
-        t.action.reset();
-        start_next_action(t);
-        return;
-      default:
-        assert(false);
-    }
+      make_ready(task_ref);
+    });
+    dispatch(t.node, t.cpu);
+    return;
   }
 
   assert(false && "Call actions are consumed by start_next_action");
 }
 
+// --- step_action's shared moves ---------------------------------------------
+
+// The current action is done: pull the next one.
+void System::end_action(TaskImpl& t) {
+  t.action.reset();
+  start_next_action(t);
+}
+
+// Wait for a message or an ack: arm the wake for acks already owed to the
+// task, then leave the CPU if the task blocks (a spinner keeps it).
+void System::park(TaskImpl& t) {
+  ensure_ack_wake(t);
+  if (t.wait_policy == WaitPolicy::kBlock) {
+    t.state = TaskImpl::State::kBlocked;
+    stop_running(t, /*keep_on_cpu=*/false);
+    dispatch(t.node, t.cpu);
+  }
+}
+
+// Re-poll a waiter whose wait may be over: step it now if it spins on a
+// running CPU, or make it ready if it blocked. A frozen spinner re-polls at
+// the post-SMM resume, a preempted one at dispatch.
+void System::wake(TaskImpl& t) {
+  if (t.on_cpu) {
+    if (!cpu_state(t.node, t.cpu).frozen) step_action(t);
+  } else if (t.state == TaskImpl::State::kBlocked) {
+    make_ready(t);
+  }
+}
+
+// End the action once the task's own rendezvous ack is in (or none is
+// owed); otherwise wait for it.
+void System::await_own_ack(TaskImpl& t) {
+  if (t.pending_ack_key == 0 || t.ack_arrived) {
+    end_action(t);
+    return;
+  }
+  t.waiting_ack = true;
+  park(t);
+}
+
+// Match an arrived (src_rank, tag) message and start its copy (true), or
+// record the wait and park (false).
+bool System::start_recv(TaskImpl& t, int src_rank, int tag) {
+  if (const MessageRec* msg = try_match_recv(t, src_rank, tag)) {
+    start_copy(t, *msg);
+    return true;
+  }
+  t.waiting_msg = true;
+  t.wait_src = src_rank;
+  t.wait_tag = tag;
+  park(t);
+  return false;
+}
+
+// Start the CPU-side copy of a matched message. One that landed while the
+// node was frozen drains cheaper when HTT siblings are online.
+void System::start_copy(TaskImpl& t, const MessageRec& msg) {
+  SimDuration cost = net_.recv_cpu_cost(msg.bytes);
+  if (msg.arrived_during_smm && node_htt_active(t.node)) {
+    cost = scale(cost, cfg_.post_smi_drain_factor);
+  }
+  start_work(t, cost);
+}
+
+// A receive copy finished: count it and retire the message held in `slot`.
+void System::finish_copy(TaskImpl& t, MsgHandle& slot) {
+  assert(slot.valid());
+  const MsgHandle h = slot;
+  slot = MsgHandle{};
+  t.stats.messages_received += 1;
+  retire_copied(h);
+}
+
 void System::finish_task(TaskImpl& t) {
   assert(!t.stats.finished);
-  // A finishing task cannot be awaiting a rendezvous ack (every wait
-  // consumes its acks first), but acks queued for it with a delivery
-  // instant still in the future must keep their wire-time effects (route
-  // erase, payload recycle, note_progress) — hand them to the wake chain.
+  // Acks may still be owed to a finishing task (an Isend it never waited
+  // for): those already queued, and any its receivers send later, keep
+  // their wire-time effects (route erase, payload recycle, note_progress)
+  // through the wake chain.
   ensure_ack_wake(t);
   t.stats.finished = true;
   t.stats.end_time = now();
@@ -1094,9 +1046,12 @@ void System::finish_task(TaskImpl& t) {
 
 // --- Messaging -------------------------------------------------------------------
 
-MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
-                                 std::int64_t bytes, int tag, bool needs_ack,
-                                 std::uint64_t ack_key) {
+// Hand a send to the wire. A rendezvous-sized one gets a fresh ack key and
+// a route for its completion ack (`nb_handle` is the Isend's handle, -1 for
+// a blocking send); returns that key, or 0 for an eager send.
+std::uint64_t System::inject_message(TaskImpl& sender, int dst_rank,
+                                     std::int64_t bytes, int tag,
+                                     int nb_handle) {
   assert(static_cast<std::size_t>(sender.group.value) < groups_.size());
   const auto& members = groups_[static_cast<std::size_t>(sender.group.value)];
   assert(dst_rank >= 0 && dst_rank < static_cast<int>(members.size()));
@@ -1104,6 +1059,8 @@ MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
   assert(dst_id.valid() && "destination rank not spawned");
   TaskImpl& dst = task(dst_id);
 
+  const bool needs_ack = net_.is_rendezvous(bytes);
+  const std::uint64_t ack_key = needs_ack ? next_ack_key_++ : 0;
   const MsgHandle h = pool_.alloc();
   MessageRec& msg = pool_.ref(h);
   msg.group = sender.group;
@@ -1117,6 +1074,9 @@ MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
   msg.ack_key = ack_key;
   msg.sender = sender.id;
   msg.xmit = net_.wire_xmit(bytes);
+  if (needs_ack) {
+    ack_router_.add(ack_key, AckTarget{sender.id, nb_handle, h, dst_rank, tag});
+  }
 
   sender.stats.messages_sent += 1;
   sender.stats.bytes_sent += bytes;
@@ -1131,11 +1091,11 @@ MsgHandle System::inject_message(TaskImpl& sender, int dst_rank,
     // it later.
     engine_.schedule_after(net_.intra_transfer(bytes),
                            [this, h] { on_message_arrival(h); });
-    return h;
+    return ack_key;
   }
   inter_node_bytes_ += bytes;
   nic_submit(sender.node, /*egress=*/true, h);
-  return h;
+  return ack_key;
 }
 
 // --- NIC servers ---------------------------------------------------------------
@@ -1320,7 +1280,7 @@ void System::on_message_arrival(MsgHandle h) {
   // Posted nonblocking receives match first (MPI posted-queue semantics);
   // only unmatched arrivals enter the unexpected queue.
   if (match_posted_irecv(dst, h)) {
-    wake_waitall(dst);
+    if (dst.waiting_all) wake(dst);
     return;
   }
   dst.unexpected.push(pool_, h);
@@ -1328,33 +1288,22 @@ void System::on_message_arrival(MsgHandle h) {
   if (!dst.waiting_msg) return;
   if (msg.tag != dst.wait_tag) return;
   if (dst.wait_src != kAnySource && msg.src_rank != dst.wait_src) return;
-
-  if (dst.on_cpu) {
-    if (!cpu_state(dst.node, dst.cpu).frozen) {
-      step_action(dst);  // spin-waiter picks it up immediately
-    }
-    // else: the post-SMM resume re-polls.
-  } else if (dst.state == TaskImpl::State::kBlocked) {
-    make_ready(dst);
-  }
-  // else: queued (preempted while spinning); re-polled at dispatch.
+  wake(dst);
 }
 
-bool System::try_match_recv(TaskImpl& t, int src_rank, int tag,
-                            MessageRec** out) {
+MessageRec* System::try_match_recv(TaskImpl& t, int src_rank, int tag) {
   const MsgHandle h = t.unexpected.match(pool_, src_rank, tag, sched_policy_);
-  if (!h.valid()) return false;
+  if (!h.valid()) return nullptr;
   t.waiting_msg = false;
   t.active_msg = h;
-  *out = &pool_.ref(h);
-  return true;
+  return &pool_.ref(h);
 }
 
 // A matched message's CPU-side copy finished: send the rendezvous ack if one
 // is owed, then recycle the record — immediately for eager messages, or at
 // the ack's completion for rendezvous ones (kConsumed holds the routing
 // fields the ack path still reads).
-void System::retire_copied(TaskImpl& /*receiver*/, MsgHandle h) {
+void System::retire_copied(MsgHandle h) {
   MessageRec& msg = pool_.ref(h);
   if (msg.needs_ack) {
     deliver_ack(msg);
@@ -1388,36 +1337,16 @@ bool System::match_posted_irecv(TaskImpl& t, MsgHandle h) {
   return true;
 }
 
-void System::wake_waitall(TaskImpl& t) {
-  if (!t.waiting_all) return;
-  if (t.on_cpu) {
-    if (!cpu_state(t.node, t.cpu).frozen) step_action(t);
-    // else: the post-SMM resume re-polls.
-  } else if (t.state == TaskImpl::State::kBlocked) {
-    make_ready(t);
-  }
-  // else: queued; re-polled at dispatch.
-}
-
 void System::deliver_ack(const MessageRec& msg) {
   // Control traffic: tiny, skips the queue servers (a real NIC prioritizes
-  // pure ACKs and their wire time is negligible). If the sender's node is
-  // frozen when it lands, the spinning sender picks it up at SMM exit.
+  // pure ACKs and their wire time is negligible), so its delivery instant
+  // is fixed here; it matures lazily (see "Lazy ack maturation" below). If
+  // the sender's node is frozen when it lands, the spinning sender picks it
+  // up at SMM exit.
   const SimDuration wire = msg.src_node == msg.dst_node
                                ? net_.intra_transfer(kAckBytes)
                                : net_.latency() + net_.wire_xmit(kAckBytes);
-  // Fault-free acks mature lazily; see "Lazy ack maturation" below.
-  if (link_fault_ == nullptr) {
-    if (AckTarget* route = ack_router_.find(msg.ack_key)) {
-      queue_lazy_ack(task(route->task), msg.ack_key, now() + wire);
-      return;
-    }
-  }
-  engine_.schedule_after(wire, [this, key = msg.ack_key] { on_ack(key); });
-}
-
-void System::on_ack(std::uint64_t ack_key) {
-  apply_ack(ack_key, /*allow_wake=*/true);
+  queue_lazy_ack(task(msg.sender), msg.ack_key, now() + wire);
 }
 
 // The ack's effects. `allow_wake` is false when the owning sender is being
@@ -1448,7 +1377,7 @@ void System::apply_ack(std::uint64_t ack_key, bool allow_wake) {
         --t.nbs_->wa_incomplete;
       }
     }
-    if (allow_wake) wake_waitall(t);
+    if (allow_wake && t.waiting_all) wake(t);
     return;
   }
   if (t.state == TaskImpl::State::kDone) return;
@@ -1457,44 +1386,34 @@ void System::apply_ack(std::uint64_t ack_key, bool allow_wake) {
   t.pending_ack_key = 0;
   if (!t.waiting_ack) return;  // arrived before the task started waiting
   t.waiting_ack = false;
-  if (!allow_wake) return;  // the ongoing poll continues from the flag
-  if (t.on_cpu) {
-    if (!cpu_state(t.node, t.cpu).frozen) step_action(t);
-  } else if (t.state == TaskImpl::State::kBlocked) {
-    make_ready(t);
-  }
+  if (allow_wake) wake(t);  // else the ongoing poll continues from the flag
 }
 
-// --- Lazy ack maturation (fault-free runs) ------------------------------------
+// --- Lazy ack maturation ----------------------------------------------------
 //
-// With no link fault model installed, deliver_ack records {due, key} on the
-// sender instead of scheduling an event: acks skip the NIC servers, so no
-// pause can move `due`. An ack's only observable effects are the
+// deliver_ack records {due, key} on the sender instead of scheduling an
+// event: acks skip the NIC servers and never consult the link fault model,
+// so nothing can move `due`. An ack's only observable effects are the
 // sender-side completion flags, which the sender reads at a poll. A parked
 // sender gets one wake event at the earliest due instant; a busy sender
 // absorbs its acks into its next poll (the ack storm's senders are almost
-// always mid-copy, so most acks cost no event). Under a fault model, whose
-// drops and duplicates change route lifetimes mid-flight, or once the
-// sender's route is gone, each ack gets its own event instead.
-//
-// The two rules deliver at the same instants but break same-instant ties
-// differently, so they are not interchangeable: a poll that lands at `due`
-// applies the ack ahead of same-instant events a dedicated ack event would
-// have queued behind, and a wake armed when the sender parks queues behind
-// same-instant events a dedicated ack event would have preceded.
-// AckOrderGoldenTest and paper_quick's digests pin the lazy rule,
-// TransportGoldenTest.FaultTransportHashPinned the event rule.
+// always mid-copy, so most acks cost no event). A finished or killed sender
+// never polls again, so its acks always go through the wake: the route and
+// payload are released, and the hang watchdog sees that progress, at each
+// due instant. The rule fixes same-instant tie order (DESIGN.md §11);
+// AckOrderGoldenTest pins it.
 
 void System::queue_lazy_ack(TaskImpl& sender, std::uint64_t key, SimTime due) {
   sender.pending_acks.push_back(
       TaskImpl::PendingAck{due, sender.pending_ack_seq++, key});
-  if (sender.waiting_msg || sender.waiting_ack || sender.waiting_all) {
+  if (sender.waiting_msg || sender.waiting_ack || sender.waiting_all ||
+      sender.state == TaskImpl::State::kDone) {
     ensure_ack_wake(sender);
   }
 }
 
 // Apply every pending ack whose delivery instant has passed, in delivery
-// order (due, then queue order) — the order dedicated events fired in.
+// order: due, then queue order.
 void System::mature_acks(TaskImpl& t, bool allow_wake) {
   assert(!t.maturing_acks);
   t.maturing_acks = true;
@@ -1519,8 +1438,8 @@ void System::mature_acks(TaskImpl& t, bool allow_wake) {
   t.maturing_acks = false;
 }
 
-// Arm (or tighten) the one wake event that stands in for every dedicated
-// ack event while the task is parked.
+// Arm (or tighten) the one wake event that applies the task's acks while
+// it is parked or has ended.
 void System::ensure_ack_wake(TaskImpl& t) {
   if (t.pending_acks.empty()) return;
   SimTime due = t.pending_acks[0].due;
@@ -1837,8 +1756,8 @@ void System::kill_task(TaskImpl& t) {
   t.pending_ack_key = 0;
   t.unexpected.clear(pool_);
   // Pending lazy acks stay queued: their routes are gone (drop_route), but
-  // the wake chain still fires at each delivery instant so the watchdog
-  // sees the same note_progress sequence dedicated ack events produced.
+  // the wake chain still fires at each delivery instant, so the watchdog
+  // sees that progress.
   ensure_ack_wake(t);
   --unfinished_tasks_;
   ++failed_tasks_;
