@@ -235,7 +235,10 @@ int node_row(NasBenchmark bench, int nodes) {
 std::optional<NasPaperCell> nas_paper_cell(const NasJobSpec& spec) {
   const int ci = class_index(spec.cls);
   const int row = node_row(spec.bench, spec.nodes);
-  if (row < 0) return std::nullopt;
+  // The tables ran 1 or 4 ranks per node; no other count borrows them.
+  if (row < 0 || (spec.ranks_per_node != 1 && spec.ranks_per_node != 4)) {
+    return std::nullopt;
+  }
   const double* cell = nullptr;
   if (spec.htt) {
     // Tables 4-5 report HTT on only for EP/FT with 4 ranks per node.

@@ -129,7 +129,8 @@ struct NasPaperCell {
 
 /// Paper values for a cell. `spec.htt` selects between the base tables
 /// (1-3, HTT off) and the HTT-on columns of Tables 4-5 (EP/FT with 4 ranks
-/// per node only). nullopt for cells the paper does not report.
+/// per node only). nullopt for cells the paper does not report, which
+/// include every ranks-per-node count other than 1 and 4.
 [[nodiscard]] std::optional<NasPaperCell> nas_paper_cell(const NasJobSpec& spec);
 
 /// BT requires a square rank count, FT a power of two; EP anything.

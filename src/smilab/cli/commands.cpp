@@ -34,11 +34,11 @@ constexpr const char* kUsage = R"(smilab — SMI noise laboratory
 usage: smilab <command> [--flag=value ...]
 
 commands:
-  nas        --workload=ep|bt|ft --class=A|B|C [--nodes=N] [--ranks-per-node=1|4]
+  nas        --workload=ep|bt|ft --class=A|B|C [--nodes=N] [--ranks-per-node=1..8]
              [--htt] [--smi=none|short|long] [--interval-ms=N] [--trials=N]
              [--seed=N] [--jobs=N]
-             Run one NAS table cell (calibrated against the paper baseline)
-             under the chosen SMI regime.
+             Run one NAS cell under the chosen SMI regime. Cells the paper
+             reports (1 or 4 ranks/node) are calibrated to its baseline.
   convolve   [--case=cf|cu] [--cpus=1..8] [--smi=none|short|long]
              [--gap-ms=N] [--seed=N]
              The Figure-1 multithreaded convolution at one sweep point.

@@ -1,8 +1,8 @@
 // SingleFlightMemo: a process-wide memo that computes each key's value once,
-// however many threads ask for it at the same time. The NAS calibration memo
-// (calibrate_nas_knob) and the SMI-free UnixBench baselines (run_unixbench)
-// share it, so sweep cells and serve workers never repeat a computation
-// whose result cannot differ.
+// however many threads ask for it at the same time. The SMI-free UnixBench
+// suites (run_unixbench) and Convolve runs (run_convolve_sim) share it, so
+// sweep cells and serve workers never repeat a computation whose result
+// cannot differ.
 #pragma once
 
 #include <atomic>

@@ -273,7 +273,6 @@ std::string SweepService::serve_line(std::string_view line) {
     w.field("simulations", s.simulations);
     w.field("coalesced", s.coalesced);
     w.field("errors", s.errors);
-    w.field("nas_calibrations", s.nas_calibrations);
     w.field("unixbench_baselines", s.unixbench_baselines);
     w.field("convolve_baselines", s.convolve_baselines);
     w.field("peak_rss_kb", s.peak_rss_kb);
@@ -322,8 +321,6 @@ ServiceStats SweepService::stats() const {
   s.simulations = im.simulations.load(std::memory_order_relaxed);
   s.coalesced = im.coalesced.load(std::memory_order_relaxed);
   s.errors = im.errors.load(std::memory_order_relaxed);
-  s.nas_calibrations =
-      static_cast<std::int64_t>(nas_calibrations_computed());
   s.unixbench_baselines =
       static_cast<std::int64_t>(unixbench_baselines_computed());
   s.convolve_baselines =

@@ -52,9 +52,8 @@ struct ServiceStats {
   std::int64_t coalesced = 0;    ///< requests that joined an in-flight job
   std::int64_t errors = 0;       ///< parse/validation/simulation failures
   /// Process-wide memo fills, shared with every other caller in the
-  /// process: NAS calibrations (calibrate_nas_knob), SMI-free UnixBench
-  /// suites (run_unixbench) and SMI-free Convolve runs (run_convolve_sim).
-  std::int64_t nas_calibrations = 0;
+  /// process: SMI-free UnixBench suites (run_unixbench) and SMI-free
+  /// Convolve runs (run_convolve_sim).
   std::int64_t unixbench_baselines = 0;
   std::int64_t convolve_baselines = 0;
   /// The process's peak resident set so far, in KiB

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <latch>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -63,6 +61,14 @@ TEST(NasTablesTest, PaperBaselineLookup) {
 
   spec = NasJobSpec{NasBenchmark::kEP, NasClass::kA, 3, 1};  // unmeasured row
   EXPECT_FALSE(nas_paper_baseline(spec).has_value());
+
+  // Only 1 and 4 ranks per node were measured; no other count borrows them.
+  for (const int rpn : {2, 3, 5, 8}) {
+    spec = NasJobSpec{NasBenchmark::kEP, NasClass::kA, 4, rpn};
+    EXPECT_FALSE(nas_paper_baseline(spec).has_value()) << rpn;
+    spec.htt = true;
+    EXPECT_FALSE(nas_paper_cell(spec).has_value()) << rpn;
+  }
 }
 
 TEST(NasTablesTest, PaperReportsMirrorsTable3Dashes) {
@@ -171,33 +177,19 @@ TEST(NasCalibrationTest, EpPadReproducesBaseline) {
   EXPECT_NEAR(t, 1.46, 0.02);
 }
 
-TEST(NasCalibrationTest, ConcurrentFirstCallersCalibrateOnce) {
-  // A cell no other test calibrates, so its memo entry is absent even when
-  // several suites share one process. Four threads (both HTT variants,
-  // which share a calibration) ask for it at once: one computes, three
-  // wait for its knob.
-  const NasJobSpec spec{NasBenchmark::kFT, NasClass::kA, 8, 1};
-  const std::uint64_t before = nas_calibrations_computed();
-  std::latch start{4};
-  std::vector<NasKnob> knobs(4);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      NasJobSpec cell = spec;
-      cell.htt = t % 2 == 1;
-      start.arrive_and_wait();
-      knobs[static_cast<std::size_t>(t)] = calibrate_nas_knob(cell);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(nas_calibrations_computed(), before + 1);
-  for (const NasKnob& knob : knobs) {
-    EXPECT_EQ(knob.exchange_bytes, knobs[0].exchange_bytes);
-    EXPECT_EQ(knob.iter_pad_ns, knobs[0].iter_pad_ns);
-  }
-  // A later request is a memo hit.
-  (void)calibrate_nas_knob(spec);
-  EXPECT_EQ(nas_calibrations_computed(), before + 1);
+TEST(NasCalibrationTest, EpAtTwoRanksPerNodeRunsSlowerThanAtFour) {
+  // The paper ran 1 or 4 ranks per node. EP A on 4 nodes at 2 ranks/node
+  // is a cell it never measured: 8 ranks must not be calibrated to the
+  // 16-rank baseline, so without SMIs they take longer than 16 do.
+  const NasJobSpec two{NasBenchmark::kEP, NasClass::kA, 4, 2};
+  const NasJobSpec four{NasBenchmark::kEP, NasClass::kA, 4, 4};
+  EXPECT_FALSE(nas_paper_baseline(two).has_value());
+  ASSERT_TRUE(nas_paper_baseline(four).has_value());
+  const double t2 =
+      simulate_nas_once(two, calibrate_nas_knob(two), SmiConfig::none(), 1, 0.0);
+  const double t4 = simulate_nas_once(four, calibrate_nas_knob(four),
+                                      SmiConfig::none(), 1, 0.0);
+  EXPECT_GT(t2, t4);
 }
 
 TEST(NasSmiResponseTest, LongSmiSingleRankNearDutyCycle) {
