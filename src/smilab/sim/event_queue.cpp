@@ -63,6 +63,7 @@ EventId Engine::finish_schedule(SimTime t, std::uint32_t slot) {
     ladder_insert(t, seq, slot);
   } else {
     heap_push(t, seq, slot);
+    ++heap_spills_;
   }
   ++live_;
   return EventId{seq, slot};
@@ -162,6 +163,10 @@ void Engine::ladder_insert(SimTime t, std::uint64_t seq, std::uint32_t slot) {
   const std::size_t b = bucket_index(t);
   Bucket& bk = buckets_[b];
   if (!bk.sorted) {
+    // Same-instant masses and refills from the heap append in (time, seq)
+    // order; ladder_peek sorts only a bucket that saw an exception.
+    if (t.ns() < bk.last_ns) bk.in_order = false;
+    bk.last_ns = t.ns();
     bk.v.push_back(e);
   } else {
     // Keep the bucket sorted: new entries carry the largest seq, so the
@@ -187,16 +192,22 @@ void Engine::ladder_insert(SimTime t, std::uint64_t seq, std::uint32_t slot) {
   }
   if (b < scan_hint_) scan_hint_ = b;
   ++ladder_size_;
-  ++win_inserted_;
+  if (t.ns() != last_insert_ns_) {
+    last_insert_ns_ = t.ns();
+    ++win_inserted_;
+  }
 }
 
 // Re-anchor the window at the heap root and pull every in-horizon heap
 // entry into the buckets. The bucket width re-derives from the event-
-// horizon statistics of the window just drained: if the window averaged
-// more than ~8 live entries per bucket the width halves (sorted-insert
-// memmoves were getting long), if it averaged under ~1/4 entry per bucket
-// it doubles (pops were mostly scanning empty buckets and refilling).
-// Deterministic: inputs are simulation state only.
+// horizon statistics of the window just drained, counted in distinct
+// instants (consecutive same-time inserts count once): more than ~8 per
+// bucket halves the width (sorted-insert memmoves were getting long), under
+// ~1/4 per bucket doubles it (pops were mostly scanning empty buckets and
+// refilling). A same-instant mass lands in one bucket, appended in order,
+// whatever the width, so counting its members would only shrink the window
+// and spill the next wave into the heap. Deterministic: inputs are
+// simulation state only.
 bool Engine::refill_window() {
   if (tombstones_ != 0) drop_root_tombstones();
   if (heap_.empty()) {
@@ -210,6 +221,7 @@ bool Engine::refill_window() {
     width_shift_ = std::min(kMaxBucketWidthShift, width_shift_ + 1);
   }
   win_inserted_ = 0;
+  ++refills_;
   const std::int64_t lo = heap_[0].time.ns();
   const std::int64_t span = static_cast<std::int64_t>(kBucketCount)
                             << width_shift_;
@@ -239,7 +251,10 @@ const Engine::Entry* Engine::ladder_peek() {
         Bucket& bk = buckets_[b];
         while (bk.head < bk.v.size()) {
           if (!bk.sorted) {
-            std::sort(bk.v.begin(), bk.v.end(), Before{});
+            if (!bk.in_order) {
+              std::sort(bk.v.begin(), bk.v.end(), Before{});
+              ++bucket_sorts_;
+            }
             bk.sorted = true;
           }
           const Entry& e = bk.v[bk.head];
@@ -254,9 +269,7 @@ const Engine::Entry* Engine::ladder_peek() {
           scan_hint_ = b;
           return &e;
         }
-        bk.v.clear();
-        bk.head = 0;
-        bk.sorted = false;
+        bk.reset();
       }
     }
     // Window drained; pull the next horizon out of the overflow heap.
@@ -267,19 +280,15 @@ const Engine::Entry* Engine::ladder_peek() {
 void Engine::ladder_pop_front() {
   Bucket& bk = buckets_[scan_hint_];
   --ladder_size_;
-  if (++bk.head == bk.v.size()) {
-    bk.v.clear();
-    bk.head = 0;
-    bk.sorted = false;
-  }
+  if (++bk.head == bk.v.size()) bk.reset();
 }
 
 void Engine::sweep_ladder_tombstones() {
   if (ladder_size_ == 0) return;
   for (Bucket& bk : buckets_) {
     if (bk.v.empty()) continue;
-    // Stable in-place removal from the cursor on preserves both the drain
-    // position and any established sort.
+    // Stable in-place removal from the cursor on preserves the drain
+    // position, any established sort and the append order's flag.
     std::size_t out = bk.head;
     for (std::size_t i = bk.head; i < bk.v.size(); ++i) {
       const Entry& e = bk.v[i];
@@ -292,11 +301,7 @@ void Engine::sweep_ladder_tombstones() {
       bk.v[out++] = e;
     }
     bk.v.resize(out);
-    if (bk.head == bk.v.size()) {
-      bk.v.clear();
-      bk.head = 0;
-      bk.sorted = false;
-    }
+    if (bk.head == bk.v.size()) bk.reset();
   }
 }
 

@@ -13,10 +13,11 @@
 //
 // Pending entries are ordered by a two-tier ladder/calendar queue: a
 // near-future window of fixed-count, adaptive-width time buckets drained in
-// (time, seq) order (each bucket sorted once when first touched), with a
-// 4-ary implicit min-heap as the far-future overflow tier. Amortized O(1)
-// per event independent of the pending count; bucket width re-derives from
-// the previous window's occupancy each time the window is re-anchored
+// (time, seq) order (a bucket is sorted once when first touched, and only
+// if an append arrived out of that order), with a 4-ary implicit min-heap as
+// the far-future overflow tier. Amortized O(1) per event independent of the
+// pending count; bucket width re-derives from the number of distinct
+// instants the previous window received each time the window is re-anchored
 // (DESIGN.md §16). (time, seq) is a total order, so it never matters which
 // tier an entry waited in. Events scheduled at exactly now() land in the
 // current bucket, whose front gap absorbs them without a memmove. A
@@ -118,6 +119,14 @@ class Engine {
   /// events ever scheduled (slots are recycled through a free list).
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
+  /// Ladder work counters (DESIGN.md §16): schedules that went past the
+  /// window into the overflow heap, window re-anchors, and bucket sorts
+  /// that actually ran (a bucket whose appends arrived in (time, seq) order
+  /// is drained without one). Pure functions of the event stream.
+  [[nodiscard]] std::uint64_t heap_spills() const { return heap_spills_; }
+  [[nodiscard]] std::uint64_t refills() const { return refills_; }
+  [[nodiscard]] std::uint64_t bucket_sorts() const { return bucket_sorts_; }
+
   /// Install / clear a same-instant tie-break policy (sim/choice_hooks.h).
   /// When set, a pop whose minimal timestamp is shared by n >= 2 live
   /// entries asks `policy->choose(kEventTie, n)` which fires first;
@@ -168,16 +177,42 @@ class Engine {
     }
   };
 
+  static constexpr std::size_t kKeptBucketCapacity = 256;  // entries
+
   /// One near-future time bucket: entries appended unsorted, sorted by
-  /// (time, seq) the first time the drain cursor touches the bucket, then
-  /// consumed from `head`. Inserts into a sorted bucket binary-insert;
-  /// `head` > 0 leaves a gap at the front that absorbs now()+epsilon
-  /// inserts without a memmove.
+  /// (time, seq) the first time the drain cursor touches the bucket (unless
+  /// every append arrived in order), then consumed from `head`. Inserts into
+  /// a sorted bucket binary-insert; `head` > 0 leaves a gap at the front
+  /// that absorbs now()+epsilon inserts without a memmove.
   struct Bucket {
     std::vector<Entry> v;
-    std::size_t head = 0;
-    bool sorted = false;
+    /// Time of the latest unsorted append. A new entry carries the largest
+    /// seq yet and a refill appends in heap order, so an append breaks
+    /// (time, seq) order exactly when its time is earlier. Kept beside the
+    /// flags, the check reads no entry: a cold bucket's last entry would
+    /// cost a load miss on every append.
+    std::int64_t last_ns = std::numeric_limits<std::int64_t>::min();
+    std::uint32_t head = 0;
+    bool sorted = false;    ///< the cursor has reached it: keep it sorted
+    bool in_order = true;   ///< unsorted appends so far are (time, seq) order
+
+    /// Empty the bucket. One that held a same-instant mass gives its
+    /// storage back: each mass lands in whichever bucket its instant maps
+    /// to, so kept capacities would add up across the window and grow
+    /// peak RSS with run length.
+    void reset() {
+      if (v.capacity() > kKeptBucketCapacity) {
+        std::vector<Entry>().swap(v);
+      } else {
+        v.clear();
+      }
+      last_ns = std::numeric_limits<std::int64_t>::min();
+      head = 0;
+      sorted = false;
+      in_order = true;
+    }
   };
+  static_assert(sizeof(Bucket) == 40, "a bucket header grew");
 
   bool pop_next();  // executes one event; false if queue exhausted
   void rotate_tie_pick();  // move the policy's same-instant pick to the cursor
@@ -239,7 +274,14 @@ class Engine {
   int width_shift_ = 10;          // current bucket width: 1024 ns
   std::size_t scan_hint_ = 0;     // first possibly non-empty bucket
   std::size_t ladder_size_ = 0;   // entries in buckets (incl. tombstones)
-  std::size_t win_inserted_ = 0;  // inserts this window: width feedback
+  // Width feedback: inserts this window whose time differs from the
+  // previous insert's, so a same-instant mass counts once.
+  std::size_t win_inserted_ = 0;
+  std::int64_t last_insert_ns_ = std::numeric_limits<std::int64_t>::min();
+
+  std::uint64_t heap_spills_ = 0;
+  std::uint64_t refills_ = 0;
+  std::uint64_t bucket_sorts_ = 0;
 };
 
 }  // namespace smilab

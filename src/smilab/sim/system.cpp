@@ -92,7 +92,9 @@ struct System::NicServer {
 // action source, then the interpreter state and the action itself.
 // Message-path and cold fields trail: the nonblocking box, the unexpected
 // queue, ack-wake bookkeeping and the name. pin_layout() keeps that split.
-struct System::TaskImpl {
+// Every TaskImpl starts a cache line (System::tasks_ is a ChunkArena), so
+// these offsets name the same lines for every rank.
+struct alignas(64) System::TaskImpl {
   enum class State : std::uint8_t {
     kReady,       ///< runnable, waiting for its CPU
     kRunning,     ///< current on its CPU (executing or spin-waiting)
@@ -204,8 +206,8 @@ struct System::TaskImpl {
   // complete class. The per-action fields (flags through `action`, read by
   // settle, current_rate, start_work, reschedule_completion, step_action,
   // start_next_action and inject_message) end at byte 328, ahead of every
-  // message-path and cold field, and the struct stays within 480 B, the
-  // per-rank budget the 64k-rank RSS projection was measured with.
+  // message-path and cold field, and the struct stays within eight cache
+  // lines: its 472 bytes of fields round up to 512 under alignas(64).
   // offsetof on this non-standard-layout type is conditionally supported;
   // GCC and Clang compute it for any class without virtual bases.
 #pragma GCC diagnostic push
@@ -223,7 +225,7 @@ struct System::TaskImpl {
                       offsetof(TaskImpl, ack_wake_ev) >= kHotEnd &&
                       offsetof(TaskImpl, name) >= kHotEnd,
                   "a message-path or cold field moved into the per-action prefix");
-    static_assert(sizeof(TaskImpl) <= 480, "per-rank residency grew");
+    static_assert(sizeof(TaskImpl) <= 512, "per-rank residency grew");
   }
 #pragma GCC diagnostic pop
 };
@@ -313,14 +315,20 @@ void System::set_online_cpus(int n) {
 // Internal accessors: every index comes from the System's own state
 // (spawned task ids, placed nodes and CPUs), so they are asserted, not
 // range-checked. The public accessors below that take a caller's TaskId or
-// GroupId keep .at().
+// GroupId range-check it (checked_task, .at()).
 System::TaskImpl& System::task(TaskId id) {
   assert(id.value >= 0 && static_cast<std::size_t>(id.value) < tasks_.size());
-  return *tasks_[static_cast<std::size_t>(id.value)];
+  return tasks_[static_cast<std::size_t>(id.value)];
 }
 const System::TaskImpl& System::task(TaskId id) const {
   assert(id.value >= 0 && static_cast<std::size_t>(id.value) < tasks_.size());
-  return *tasks_[static_cast<std::size_t>(id.value)];
+  return tasks_[static_cast<std::size_t>(id.value)];
+}
+const System::TaskImpl& System::checked_task(TaskId id) const {
+  if (id.value < 0 || static_cast<std::size_t>(id.value) >= tasks_.size()) {
+    throw std::out_of_range("no task " + std::to_string(id.value));
+  }
+  return tasks_[static_cast<std::size_t>(id.value)];
 }
 System::CpuState& System::cpu_state(int node, int cpu) {
   assert(node >= 0 && node < cfg_.node_count);
@@ -373,34 +381,33 @@ TaskId System::spawn_member(GroupId g, int rank, TaskSpec spec) {
                             " / CPU " + std::to_string(spec.pinned_cpu) +
                             " outside the cluster");
   }
-  auto t = std::make_unique<TaskImpl>();
-  t->id = TaskId{static_cast<std::int32_t>(tasks_.size())};
-  t->group = g;
-  t->rank = rank;
-  t->name = std::move(spec.name);
-  t->node = spec.node;
-  t->profile = spec.profile;
-  t->wait_policy = spec.wait_policy;
-  t->source = std::move(spec.actions);
-  t->stats.start_time = now();
-  t->pinned = spec.pinned_cpu >= 0;
-  t->cpu = spec.pinned_cpu >= 0 ? spec.pinned_cpu : place(spec);
-  assert(cluster_.node(t->node).is_online(t->cpu) && "placed on offline CPU");
+  const int cpu = spec.pinned_cpu >= 0 ? spec.pinned_cpu : place(spec);
+  TaskImpl& t = tasks_.emplace_back();
+  t.id = TaskId{static_cast<std::int32_t>(tasks_.size() - 1)};
+  t.group = g;
+  t.rank = rank;
+  t.name = std::move(spec.name);
+  t.node = spec.node;
+  t.profile = spec.profile;
+  t.wait_policy = spec.wait_policy;
+  t.source = std::move(spec.actions);
+  t.stats.start_time = now();
+  t.pinned = spec.pinned_cpu >= 0;
+  t.cpu = cpu;
+  assert(cluster_.node(t.node).is_online(t.cpu) && "placed on offline CPU");
 
-  members[static_cast<std::size_t>(rank)] = t->id;
-  cpu_state(t->node, t->cpu).assigned += 1;
+  members[static_cast<std::size_t>(rank)] = t.id;
+  cpu_state(t.node, t.cpu).assigned += 1;
   ++unfinished_tasks_;
 
-  t->materialized = t->source->materialized_actions();
-  program_actions_ += t->materialized;
+  t.materialized = t.source->materialized_actions();
+  program_actions_ += t.materialized;
   if (program_actions_ > peak_program_actions_) {
     peak_program_actions_ = program_actions_;
   }
 
-  TaskImpl& ref = *t;
-  tasks_.push_back(std::move(t));
-  make_ready(ref);
-  return ref.id;
+  make_ready(t);
+  return t.id;
 }
 
 int System::place(const TaskSpec& spec) {
@@ -466,7 +473,7 @@ void System::dispatch(int node, int cpu) {
   if (cs.runqueue.empty()) return;
   const std::int32_t idx = cs.runqueue.front();
   cs.runqueue.erase(cs.runqueue.begin());
-  TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
+  TaskImpl& t = tasks_[static_cast<std::size_t>(idx)];
   assert(t.queued);
   t.queued = false;
   t.state = TaskImpl::State::kRunning;
@@ -507,7 +514,7 @@ void System::steal_into(int node, int cpu) {
     if (i == cpu || !topo.is_online(i)) continue;
     std::size_t stealable = 0;
     for (const std::int32_t idx : cpu_state(node, i).runqueue) {
-      if (!tasks_[static_cast<std::size_t>(idx)]->pinned) ++stealable;
+      if (!tasks_[static_cast<std::size_t>(idx)].pinned) ++stealable;
     }
     if (stealable > donor_depth) {
       donor = i;
@@ -518,7 +525,7 @@ void System::steal_into(int node, int cpu) {
   auto& donor_queue = cpu_state(node, donor).runqueue;
   // Take the most recently queued unpinned task (coldest cache footprint).
   for (auto it = donor_queue.rbegin(); it != donor_queue.rend(); ++it) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(*it)];
+    TaskImpl& t = tasks_[static_cast<std::size_t>(*it)];
     if (t.pinned) continue;
     assert(t.queued && t.cpu == donor);
     const std::int32_t idx = *it;
@@ -532,7 +539,7 @@ void System::steal_into(int node, int cpu) {
 void System::preempt_current(int node, int cpu) {
   auto& cs = cpu_state(node, cpu);
   assert(cs.current >= 0);
-  TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+  TaskImpl& t = tasks_[static_cast<std::size_t>(cs.current)];
   stop_running(t, /*keep_on_cpu=*/false);
   make_ready(t);
   dispatch(node, cpu);
@@ -547,7 +554,7 @@ bool System::sibling_busy(const TaskImpl& t) const {
   // offline sibling reads as idle without consulting the topology.
   const CpuState& scs = cpu_state(t.node, sib);
   if (scs.current < 0) return false;
-  const TaskImpl& other = *tasks_[static_cast<std::size_t>(scs.current)];
+  const TaskImpl& other = tasks_[static_cast<std::size_t>(scs.current)];
   // A spin-waiting sibling (no work) uses PAUSE loops that release the
   // shared execution ports; only real work contends.
   return other.work_left > SimDuration::zero();
@@ -639,7 +646,7 @@ void System::sibling_rate_changed(int node, int cpu) {
   if (sib < 0) return;
   auto& scs = cpu_state(node, sib);
   if (scs.current < 0 || scs.frozen) return;
-  TaskImpl& other = *tasks_[static_cast<std::size_t>(scs.current)];
+  TaskImpl& other = tasks_[static_cast<std::size_t>(scs.current)];
   if (!other.on_cpu) return;
   settle(other);
   const double new_rate = current_rate(other);
@@ -1520,7 +1527,7 @@ void System::smm_exit(int node, const SmmInterval& interval) {
     CpuState& cs = cpu_state(node, i);
     cs.frozen = false;
     if (cs.current >= 0) {
-      TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+      TaskImpl& t = tasks_[static_cast<std::size_t>(cs.current)];
       // The OS never saw the freeze: it keeps charging the task.
       t.stats.os_view_cpu_time += frozen_for;
       t.stats.smm_stolen_time += frozen_for;
@@ -1543,7 +1550,7 @@ void System::freeze_cpu(int node, int cpu) {
     cs.quantum_ev = EventId{};
   }
   if (cs.current >= 0) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+    TaskImpl& t = tasks_[static_cast<std::size_t>(cs.current)];
     settle(t);
     ++t.epoch;  // invalidate any scheduled completion
     engine_.cancel(t.completion_ev);
@@ -1564,7 +1571,7 @@ void System::release_node(int node) {
   const std::vector<std::int32_t> wakes = std::move(ns.deferred_wakes);
   ns.deferred_wakes.clear();
   for (const std::int32_t idx : wakes) {
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
+    TaskImpl& t = tasks_[static_cast<std::size_t>(idx)];
     if (t.state == TaskImpl::State::kSleeping) make_ready(t);
   }
   const Node& topo = cluster_.node(node);
@@ -1587,7 +1594,7 @@ void System::resume_cpu(int node, int cpu) {
   if (cs.current >= 0) {
     // OS-level noise is visible to the kernel: unlike SMM it is NOT charged
     // to the victim task's CPU time, so no os_view adjustment here.
-    begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
+    begin_running(tasks_[static_cast<std::size_t>(cs.current)]);
     arm_quantum(node, cpu);  // the preemption timer was cancelled at freeze
   }
   dispatch(node, cpu);
@@ -1685,7 +1692,7 @@ void System::fault_freeze_exit(int node) {
     CpuState& cs = cpu_state(node, i);
     cs.frozen = false;
     if (cs.current >= 0) {
-      begin_running(*tasks_[static_cast<std::size_t>(cs.current)]);
+      begin_running(tasks_[static_cast<std::size_t>(cs.current)]);
       arm_quantum(node, i);
     }
   }
@@ -1788,8 +1795,7 @@ void System::crash_node(int node) {
     server->queue.clear();
   }
   // Fail-stop: every task placed here dies where it stands.
-  for (const auto& tp : tasks_) {
-    TaskImpl& t = *tp;
+  for (TaskImpl& t : tasks_) {
     if (t.node != node || t.stats.finished || t.stats.failed) continue;
     kill_task(t);
   }
@@ -1814,7 +1820,7 @@ void System::set_node_fault_rate(int node, double scale) {
     if (!topo.is_online(i)) continue;
     auto& cs = cpu_state(node, i);
     if (cs.frozen || cs.current < 0) continue;
-    TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+    TaskImpl& t = tasks_[static_cast<std::size_t>(cs.current)];
     if (!t.on_cpu) continue;
     settle(t);
     const double new_rate = current_rate(t);
@@ -1866,7 +1872,7 @@ void System::validate() const {
              ", topology says " + std::to_string(topo.cpu(c).sibling));
       }
       if (cs.current >= 0) {
-        const TaskImpl& t = *tasks_[static_cast<std::size_t>(cs.current)];
+        const TaskImpl& t = tasks_[static_cast<std::size_t>(cs.current)];
         if (!t.on_cpu || t.node != n || t.cpu != c) {
           fail("cpu " + std::to_string(n) + "/" + std::to_string(c) +
                " current task '" + t.name + "' does not point back");
@@ -1874,7 +1880,7 @@ void System::validate() const {
         if (!topo.is_online(c)) fail("offline CPU has a current task");
       }
       for (const std::int32_t idx : cs.runqueue) {
-        const TaskImpl& t = *tasks_[static_cast<std::size_t>(idx)];
+        const TaskImpl& t = tasks_[static_cast<std::size_t>(idx)];
         if (!t.queued || t.on_cpu || t.node != n || t.cpu != c) {
           fail("runqueue entry '" + t.name + "' state mismatch");
         }
@@ -1885,8 +1891,7 @@ void System::validate() const {
     }
   }
   // Task-side invariants.
-  for (const auto& tp : tasks_) {
-    const TaskImpl& t = *tp;
+  for (const TaskImpl& t : tasks_) {
     if (t.stats.finished) {
       if (t.on_cpu || t.queued || t.work_left > SimDuration::zero()) {
         fail("finished task '" + t.name + "' retains execution state");
@@ -1913,9 +1918,9 @@ void System::validate() const {
     fail("in-flight counter disagrees with the pool's kTransit population");
   }
   std::size_t unexpected_total = 0;
-  for (const auto& tp : tasks_) {
-    tp->unexpected.check_invariants(pool_);
-    unexpected_total += tp->unexpected.size();
+  for (const TaskImpl& t : tasks_) {
+    t.unexpected.check_invariants(pool_);
+    unexpected_total += t.unexpected.size();
   }
   if (unexpected_total != pool_.live_in_state(MessageRec::State::kUnexpected)) {
     fail("unexpected queues do not cover the pool's kUnexpected records");
@@ -1950,8 +1955,7 @@ std::uint64_t System::progress_digest() const {
   Fnv64 h;
   h.mix(static_cast<std::uint64_t>(now().ns()));
   h.mix(static_cast<std::uint64_t>(unfinished_tasks_));
-  for (const auto& tp : tasks_) {
-    const TaskImpl& t = *tp;
+  for (const TaskImpl& t : tasks_) {
     h.mix_signed(t.id.value);
     h.mix(static_cast<std::uint64_t>(t.state));
     h.mix(static_cast<std::uint64_t>(t.phase));
@@ -2003,8 +2007,7 @@ std::uint64_t System::progress_digest() const {
 }
 
 bool System::all_unfinished_comm_waiting() const {
-  for (const auto& tp : tasks_) {
-    const TaskImpl& t = *tp;
+  for (const TaskImpl& t : tasks_) {
     if (t.stats.finished || t.stats.failed) continue;
     if (!(t.waiting_msg || t.waiting_ack || t.waiting_all)) return false;
   }
@@ -2036,8 +2039,7 @@ RunResult System::diagnose(RunStatus status) const {
     }
   };
 
-  for (const auto& tp : tasks_) {
-    const TaskImpl& t = *tp;
+  for (const TaskImpl& t : tasks_) {
     if (t.stats.finished || t.stats.failed) continue;
     RankDiagnosis r;
     r.task = t.id;
@@ -2134,8 +2136,7 @@ RunResult System::diagnose(RunStatus status) const {
     path.pop_back();
     return false;
   };
-  for (const auto& tp : tasks_) {
-    const TaskImpl& t = *tp;
+  for (const TaskImpl& t : tasks_) {
     if (t.stats.finished || t.stats.failed) continue;
     if (color[static_cast<std::size_t>(t.id.value)] == 0 && dfs(t.id.value)) {
       break;
@@ -2188,20 +2189,20 @@ bool System::run_for(SimDuration d) { return engine_.run_until(now() + d); }
 bool System::all_finished() const { return unfinished_tasks_ == 0; }
 
 const TaskStats& System::task_stats(TaskId t) const {
-  return tasks_.at(static_cast<std::size_t>(t.value))->stats;
+  return checked_task(t).stats;
 }
 
 const std::string& System::task_name(TaskId t) const {
-  return tasks_.at(static_cast<std::size_t>(t.value))->name;
+  return checked_task(t).name;
 }
 
 int System::task_node(TaskId t) const {
-  return tasks_.at(static_cast<std::size_t>(t.value))->node;
+  return checked_task(t).node;
 }
 
 SimDuration System::total_true_cpu_time() const {
   SimDuration total{};
-  for (const auto& tp : tasks_) total += tp->stats.true_cpu_time;
+  for (const TaskImpl& t : tasks_) total += t.stats.true_cpu_time;
   return total;
 }
 
@@ -2219,8 +2220,8 @@ SimTime System::group_finish_time(GroupId g) const {
 
 SimTime System::last_finish_time() const {
   SimTime latest = SimTime::zero();
-  for (const auto& tp : tasks_) {
-    if (tp->stats.finished) latest = std::max(latest, tp->stats.end_time);
+  for (const TaskImpl& t : tasks_) {
+    if (t.stats.finished) latest = std::max(latest, t.stats.end_time);
   }
   return latest;
 }

@@ -26,6 +26,7 @@
 
 #include "smilab/net/network.h"
 #include "smilab/os/costs.h"
+#include "smilab/sim/chunk_arena.h"
 #include "smilab/sim/event_queue.h"
 #include "smilab/sim/machine.h"
 #include "smilab/sim/run_result.h"
@@ -343,6 +344,8 @@ class System {
 
   TaskImpl& task(TaskId id);
   const TaskImpl& task(TaskId id) const;
+  /// task() for a caller's id: throws std::out_of_range past the last spawn.
+  const TaskImpl& checked_task(TaskId id) const;
   CpuState& cpu_state(int node, int cpu);
   const CpuState& cpu_state(int node, int cpu) const;
   NodeState& node_state(int node);
@@ -448,7 +451,7 @@ class System {
   double htt_refill_run_factor_ = 1.0;  ///< per-run HTT warm-up luck
   std::vector<double> node_speed_;  ///< per-node base speed multiplier
 
-  std::vector<std::unique_ptr<TaskImpl>> tasks_;
+  ChunkArena<TaskImpl> tasks_;  ///< spawn order; TaskId indexes it
   std::vector<std::vector<TaskId>> groups_;
   std::vector<NodeState> node_state_;
   /// Every node's logical CPUs, node-major: node n's CPU c is

@@ -89,25 +89,37 @@ void UnexpectedQueue::push(MessagePool& pool, MsgHandle h) {
   rec.arrival_seq = next_seq_++;
   rec.st_prev = rec.st_next = MessageRec::kNil;
   rec.tag_prev = rec.tag_next = MessageRec::kNil;
+  if (count_ == 0) {
+    solo_ = h.index;
+  } else {
+    if (solo_ != MessageRec::kNil) {  // the earlier arrival links first
+      link(pool, solo_);
+      solo_ = MessageRec::kNil;
+    }
+    link(pool, h.index);
+  }
+  ++count_;
+}
 
+void UnexpectedQueue::link(MessagePool& pool, std::uint32_t index) {
+  MessageRec& rec = pool.at_index(index);
   Bucket& st = get_st_bucket(rec.src_rank, rec.tag);
   if (st.tail == MessageRec::kNil) {
-    st.head = st.tail = h.index;
+    st.head = st.tail = index;
   } else {
-    pool.at_index(st.tail).st_next = h.index;
+    pool.at_index(st.tail).st_next = index;
     rec.st_prev = st.tail;
-    st.tail = h.index;
+    st.tail = index;
   }
 
   Bucket& tg = get_tag_bucket(rec.tag);
   if (tg.tail == MessageRec::kNil) {
-    tg.head = tg.tail = h.index;
+    tg.head = tg.tail = index;
   } else {
-    pool.at_index(tg.tail).tag_next = h.index;
+    pool.at_index(tg.tail).tag_next = index;
     rec.tag_prev = tg.tail;
-    tg.tail = h.index;
+    tg.tail = index;
   }
-  ++count_;
 }
 
 void UnexpectedQueue::unlink(MessagePool& pool, MsgHandle h) {
@@ -153,6 +165,17 @@ void UnexpectedQueue::unlink(MessagePool& pool, MsgHandle h) {
 
 MsgHandle UnexpectedQueue::match(MessagePool& pool, int src_rank, int tag,
                                  SchedulePolicy* policy) {
+  if (solo_ != MessageRec::kNil) {  // one candidate: no policy question
+    const MessageRec& rec = pool.at_index(solo_);
+    if (rec.tag != tag || (src_rank != kAnySource && rec.src_rank != src_rank)) {
+      return MsgHandle{};
+    }
+    const MsgHandle h = pool.handle_at(solo_);
+    solo_ = MessageRec::kNil;
+    count_ = 0;
+    pool.ref(h).state = MessageRec::State::kMatched;
+    return h;
+  }
   std::uint32_t index = MessageRec::kNil;
   if (src_rank == kAnySource) {
     // The tag index is arrival-ordered across sources: its head IS the
@@ -213,6 +236,10 @@ void UnexpectedQueue::clear(MessagePool& pool) {
   // allocation. Sorting first makes the post-kill pool state a
   // deterministic function of queue content alone; each per-tag list is
   // already arrival-ordered, covering every queued record exactly once.
+  if (solo_ != MessageRec::kNil) {
+    pool.release(pool.handle_at(solo_));
+    solo_ = MessageRec::kNil;
+  }
   for (const int tag : tag_keys()) {
     std::uint32_t i = find_tag_bucket(tag)->head;
     while (i != MessageRec::kNil) {
@@ -229,6 +256,19 @@ void UnexpectedQueue::check_invariants(const MessagePool& pool) const {
   auto fail = [](const std::string& what) {
     throw std::logic_error("UnexpectedQueue::check_invariants: " + what);
   };
+  if (solo_ != MessageRec::kNil) {
+    const MessageRec& rec = pool.at_index(solo_);
+    if (count_ != 1) fail("inline record is not the only queued record");
+    if (!buckets_.empty()) fail("inline record beside mapped buckets");
+    if (rec.state != MessageRec::State::kUnexpected) {
+      fail("inline record not kUnexpected");
+    }
+    if (rec.st_prev != MessageRec::kNil || rec.st_next != MessageRec::kNil ||
+        rec.tag_prev != MessageRec::kNil || rec.tag_next != MessageRec::kNil) {
+      fail("inline record carries list links");
+    }
+    return;
+  }
   // Split the buckets by key family; validation is order-insensitive
   // (every failure throws regardless of visit order).
   std::vector<std::pair<int, Bucket>> tag_buckets;

@@ -24,7 +24,10 @@
 //    number; any-source matching follows the per-tag list, which is
 //    arrival-ordered, preserving MPI's global arrival-order semantics for
 //    wildcards — check_invariants verifies the sequence is strictly
-//    increasing along every list.
+//    increasing along every list. A record that arrives into an empty
+//    queue waits in an inline slot instead and reaches the map only when a
+//    second one arrives, so a message matched before the next one arrives
+//    costs no map operation.
 //  * AckRouter — a global ack-key -> (task, handle) FlatKeyMap route. A
 //    rendezvous completion previously scanned every task and searched two
 //    maps per task; now it is one hash lookup. The route also remembers the
@@ -206,6 +209,10 @@ class UnexpectedQueue {
   /// on the message hot path.
   template <typename F>
   void for_each_arrival(const MessagePool& pool, F&& f) const {
+    if (solo_ != MessageRec::kNil) {
+      f(pool.at_index(solo_));
+      return;
+    }
     std::vector<int> tags = tag_keys();  // sorted; hash order cannot escape
     std::vector<const MessageRec*> recs;
     recs.reserve(count_);
@@ -273,6 +280,10 @@ class UnexpectedQueue {
   /// order cannot escape).
   [[nodiscard]] std::vector<int> tag_keys() const;
 
+  /// Append the record at pool slot `index` to its (src, tag) bucket and
+  /// its tag index.
+  void link(MessagePool& pool, std::uint32_t index);
+
   /// Unlink `h` from both its (src, tag) bucket and its tag index;
   /// erases buckets that become empty so the maps stay bounded by
   /// *concurrently* queued traffic, not by distinct tags ever seen.
@@ -295,6 +306,10 @@ class UnexpectedQueue {
   /// Both bucket families, keyed by st_key / tag_key (disjoint by
   /// construction — see st_key).
   FlatKeyMap<Bucket> buckets_;
+  /// Pool slot of a record that arrived into an empty queue, kept out of
+  /// buckets_ until a second record arrives; kNil otherwise. When set it
+  /// is the only queued record, and buckets_ is empty.
+  std::uint32_t solo_ = MessageRec::kNil;
   std::uint64_t next_seq_ = 0;
   std::size_t count_ = 0;
   std::unique_ptr<MatchScratch> scratch_;

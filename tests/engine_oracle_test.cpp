@@ -15,10 +15,14 @@
 //     inserts below the anchor;
 //   * cancel bursts that trip compact_tombstones;
 //   * same-instant storms whose callbacks schedule nested wakes at now();
+//   * same-instant masses: waves of at least 10k events at one to four
+//     instants, appended in (time, seq) order so their buckets drain
+//     without a sort, then out-of-order inserts into buckets the cursor
+//     has not reached, nested wakes and cancels of wave members;
 //   * a tie-break policy installed and removed mid-run, with storms and a
 //     same-timestamp cluster above 8 x 512 entries under it, so the policy
 //     picks among long same-instant runs with cancels and nested wakes in
-//     them;
+//     them, and inside a same-instant mass;
 //   * events near SimTime::max(), where the window end clamps and far
 //     entries share the last bucket.
 // After every phase both sides must agree on fire order, now(), executed,
@@ -236,6 +240,8 @@ class Differential {
   void set_tie_break(SchedulePolicy* product, SchedulePolicy* reference) {
     product_.eng.set_tie_break(product);
     reference_.eng.set_tie_break(reference);
+    product_policy_ = product;
+    reference_policy_ = reference;
   }
 
   /// Everything both sides can observe, compared since the last checkpoint.
@@ -366,6 +372,55 @@ class Differential {
     }
   }
 
+  /// Same-instant masses. Wave w puts 10k-11k events on 1 + w % 4 instants,
+  /// spaced about 2^(6 + 6 (w % 6)) ns apart so that, whatever the bucket
+  /// width, some wave's later instants sit in buckets ahead of the cursor.
+  /// Each instant's members append in (time, seq) order; inserts just
+  /// before a later instant, made once the cursor is inside the first one,
+  /// arrive out of order in a bucket it has not reached, which must then
+  /// sort. Cancels hit wave members before and during the drain, and every
+  /// 500th member wakes a nested chain. Under a tie-break policy only the
+  /// first 64 pops of a wave ask it: a tied pop costs the reference
+  /// O(n log n) over the instant, so a whole wave would dominate the suite.
+  void masses(int waves) {
+    const std::uint64_t sorts = product_.eng.bucket_sorts();
+    for (int w = 0; w < waves; ++w) {
+      const std::size_t first = scheduled();
+      const int instants = 1 + w % 4;
+      const int per = (10'000 + static_cast<int>(next() % 1000)) / instants;
+      const std::int64_t gap = std::int64_t{1} << (6 + 6 * (w % 6));
+      std::vector<SimTime> at;
+      SimTime t = now() + delay(8);
+      for (int i = 0; i < instants; ++i) {
+        at.push_back(t);
+        for (int k = 0; k < per; ++k) schedule(t, k % 500 == 0 ? 3 : 0);
+        t = t + SimDuration{gap + static_cast<std::int64_t>(next() % 64)};
+      }
+      for (int i = 0; i < 40; ++i) {
+        cancel(first + next() % (scheduled() - first));
+      }
+      for (int i = 0; i < 64; ++i) step();
+      for (std::size_t i = 1; i < at.size(); ++i) {
+        for (int k = 0; k < 8; ++k) {
+          const SimTime before_instant =
+              at[i] - SimDuration{1 + static_cast<std::int64_t>(next() % 32)};
+          schedule(std::max(before_instant, now()),
+                   static_cast<std::uint32_t>(next() % 3));
+        }
+      }
+      for (int i = 0; i < 40; ++i) {
+        cancel(first + next() % (scheduled() - first));
+      }
+      SchedulePolicy* const product = product_policy_;
+      SchedulePolicy* const reference = reference_policy_;
+      set_tie_break(nullptr, nullptr);
+      drain();
+      set_tie_break(product, reference);
+    }
+    // Out-of-order inserts reached an unsorted bucket at least once.
+    EXPECT_GT(product_.eng.bucket_sorts(), sorts);
+  }
+
   /// Near the end of time: the window end clamps to SimTime::max(), so
   /// entries past the last bucket's range share it.
   void end_of_time(int events) {
@@ -387,6 +442,8 @@ class Differential {
   std::uint64_t rng_;
   Side<Engine, EventId> product_;
   Side<ReferenceEngine, ReferenceEngine::Id> reference_;
+  SchedulePolicy* product_policy_ = nullptr;
+  SchedulePolicy* reference_policy_ = nullptr;
   std::size_t checked_ = 0;
 };
 
@@ -403,6 +460,8 @@ void run_stream(std::uint64_t seed, bool rotate_ties) {
     d.checkpoint("cancel bursts");
     d.storms(30);
     d.checkpoint("storms");
+    d.masses(6);
+    d.checkpoint("masses");
 
     // A policy installed and removed mid-run, with work pending across
     // both switches.
@@ -411,9 +470,13 @@ void run_stream(std::uint64_t seed, bool rotate_ties) {
     d.sparse(200);
     d.set_tie_break(&product_policy, &reference_policy);
     d.storms(20);
-    // One cluster per stream: each of its tied pops costs the reference
-    // O(n log n), so a cluster per round would dominate the suite's time.
-    if (round == 0) d.clusters(1);
+    // One cluster and one set of masses per stream: each tied pop costs
+    // the reference O(n log n), so one per round would dominate the
+    // suite's time.
+    if (round == 0) {
+      d.clusters(1);
+      d.masses(6);
+    }
     d.sparse(500);
     d.checkpoint("under policy");
     d.set_tie_break(nullptr, nullptr);

@@ -215,6 +215,47 @@ TEST(EngineTest, SlabSlotsAreReusedInSteadyState) {
   EXPECT_LE(eng.slot_capacity(), 64u);
 }
 
+// A bucket whose appends arrive in (time, seq) order drains without a
+// sort; one earlier-time append makes it sort before its first pop. The
+// flag resets when the bucket empties, so the next in-order batch in the
+// same bucket skips the sort again.
+TEST(EngineTest, OutOfOrderAppendSortsItsBucketOnce) {
+  Engine eng;
+  std::vector<std::int64_t> fired;
+  const auto at = [&eng, &fired](std::int64_t t) {
+    eng.schedule_at(SimTime{t}, [&eng, &fired] { fired.push_back(eng.now().ns()); });
+  };
+  const auto pop = [&eng](int n) {
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(eng.step());
+  };
+  // The first pop anchors the window at 100 with 2048 ns buckets, and the
+  // window stays live while the ladder holds entries between steps, so
+  // every time below lands in bucket 0.
+  at(100);
+  pop(1);
+  at(500);
+  at(600);
+  at(700);
+  at(300);
+  pop(4);
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{100, 300, 500, 600, 700}));
+  EXPECT_EQ(eng.bucket_sorts(), 1u);
+  at(800);
+  at(900);
+  at(1000);
+  pop(3);
+  EXPECT_EQ(eng.bucket_sorts(), 1u) << "in-order flag survived an empty bucket";
+  at(1500);
+  at(1200);
+  pop(2);
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{100, 300, 500, 600, 700, 800,
+                                              900, 1000, 1200, 1500}));
+  EXPECT_EQ(eng.bucket_sorts(), 2u);
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(eng.heap_spills(), 1u);  // the anchor: no window yet
+  EXPECT_EQ(eng.refills(), 1u);
+}
+
 TEST(EngineTest, LargeCallbacksBoxAndStillFire) {
   Engine eng;
   // A capture larger than the inline buffer exercises the boxed fallback.

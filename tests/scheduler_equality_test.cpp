@@ -9,8 +9,8 @@
 // tests/engine_oracle_test.cpp and the naive matching scans in
 // tests/transport_oracle_test.cpp.
 //
-// Alongside the golden pins: FlatKeyMap churned against a
-// std::unordered_map reference.
+// Alongside the golden pins: the ladder's work counts on a 4096-rank ring,
+// and FlatKeyMap churned against a std::unordered_map reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,6 +189,51 @@ std::uint64_t ring_sweep_hash() {
 
 TEST(SchedulerEqualityTest, StreamingRing4096BitIdenticalAcrossToggles) {
   EXPECT_EQ(ring_sweep_hash(), kStreamingRing4096Hash);
+}
+
+// --- Ladder work at 4096 ranks ---------------------------------------------
+
+// perfbench's r4096 ring shape (8 ranks/node, 64 KiB sendrecvs, no SMIs)
+// for 3 iterations. Every rank's events fire at a handful of shared
+// instants, so the ladder drains same-instant masses. The engine's work
+// counters are pure functions of the event stream, so they are pinned
+// exactly: a change that sorts buckets whose appends arrived in order, or
+// lets a mass shrink the bucket width and spill the next wave into the
+// heap, moves them while the timings would hide it in host noise
+// (DESIGN.md §16).
+TEST(SchedulerEqualityTest, Ring4096LadderWorkCountsPinned) {
+  constexpr int kRanks = 4096;
+  constexpr int kIters = 3;
+  constexpr int kRanksPerNode = 8;
+  SystemConfig cfg;
+  cfg.machine = MachineSpec::wyeast_e5520();
+  cfg.node_count = node_count_for(kRanks, kRanksPerNode);
+  cfg.net = NetworkParams::wyeast();
+  cfg.smi = SmiConfig::none();
+  cfg.seed = 42;
+  System sys{cfg};
+  auto sources = chunked_rank_sources(kRanks, [](int rank) {
+    return [rank](int chunk, RankProgram& rp, TagAllocator& tags) {
+      if (chunk >= kIters) return false;
+      const int base = tags.allocate(2);
+      const int next = (rank + 1) % kRanks;
+      const int prev = (rank + kRanks - 1) % kRanks;
+      rp.compute(microseconds(200));
+      rp.sendrecv(next, 64 * 1024, base, prev, base);
+      rp.sendrecv(prev, 64 * 1024, base + 1, next, base + 1);
+      return true;
+    };
+  });
+  run_mpi_job_streaming(sys, kRanks, sources,
+                        block_placement(kRanks, kRanksPerNode),
+                        WorkloadProfile{});
+  // Sorting every bucket and counting every insert toward the width read
+  // 16896 spills, 18 refills and 115 sorts over the same 92160 events.
+  Engine& eng = sys.engine();
+  EXPECT_EQ(eng.executed_events(), 92160u);
+  EXPECT_EQ(eng.heap_spills(), 13312u);
+  EXPECT_EQ(eng.refills(), 10u);
+  EXPECT_EQ(eng.bucket_sorts(), 3u);
 }
 
 // --- FlatKeyMap vs unordered_map reference -----------------------------------

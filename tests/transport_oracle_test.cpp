@@ -116,6 +116,33 @@ class ArrivalList {
   std::vector<MsgHandle> list_;
 };
 
+/// Queue and reference agree on size, arrival order and structure.
+void expect_same_queue(const MessagePool& pool, const UnexpectedQueue& queue,
+                       const ArrivalList& ref) {
+  queue.check_invariants(pool);
+  pool.check_invariants();
+  ASSERT_EQ(queue.size(), ref.messages().size());
+  std::vector<MsgHandle> visited;
+  queue.for_each_arrival(pool, [&](const MessageRec& rec) {
+    for (const MsgHandle h : ref.messages()) {
+      if (pool.get(h) == &rec) visited.push_back(h);
+    }
+  });
+  ASSERT_EQ(visited, ref.messages());
+}
+
+MsgHandle arrive(MessagePool& pool, UnexpectedQueue& queue, ArrivalList& ref,
+                 int src, int tag) {
+  const MsgHandle h = pool.alloc();
+  MessageRec& rec = pool.ref(h);
+  rec.src_rank = src;
+  rec.tag = tag;
+  rec.arrived = true;
+  queue.push(pool, h);
+  ref.push(h);
+  return h;
+}
+
 void unexpected_queue_stream(std::uint64_t seed, int sources, int tags) {
   Xorshift rng{seed};
   MessagePool pool;
@@ -128,13 +155,7 @@ void unexpected_queue_stream(std::uint64_t seed, int sources, int tags) {
     MsgHandle got;
     MsgHandle want;
     if (r < 50) {  // arrival
-      const MsgHandle h = pool.alloc();
-      MessageRec& rec = pool.ref(h);
-      rec.src_rank = rng.below(sources);
-      rec.tag = tag;
-      rec.arrived = true;
-      queue.push(pool, h);
-      ref.push(h);
+      arrive(pool, queue, ref, rng.below(sources), tag);
       continue;
     }
     if (r < 72) {  // specific-source receive
@@ -171,16 +192,8 @@ void unexpected_queue_stream(std::uint64_t seed, int sources, int tags) {
       pool.release(got);  // copied out: the record recycles
     }
     if (op % 64 == 0) {
-      queue.check_invariants(pool);
-      pool.check_invariants();
-      ASSERT_EQ(queue.size(), ref.messages().size());
-      std::vector<MsgHandle> visited;
-      queue.for_each_arrival(pool, [&](const MessageRec& rec) {
-        for (const MsgHandle h : ref.messages()) {
-          if (pool.get(h) == &rec) visited.push_back(h);
-        }
-      });
-      ASSERT_EQ(visited, ref.messages()) << "op " << op;
+      SCOPED_TRACE(op);
+      ASSERT_NO_FATAL_FAILURE(expect_same_queue(pool, queue, ref));
     }
   }
   EXPECT_GT(policy.asked, 0);
@@ -190,6 +203,79 @@ TEST(TransportOracleTest, UnexpectedQueueMatchesArrivalListScan) {
   unexpected_queue_stream(0x9e3779b97f4a7c15ull, /*sources=*/4, /*tags=*/3);
   unexpected_queue_stream(0xd1b54a32d192ed03ull, /*sources=*/8, /*tags=*/6);
   unexpected_queue_stream(0x2545f4914f6cdd1dull, /*sources=*/64, /*tags=*/2);
+}
+
+// A record that arrives into an empty queue waits in the inline slot. A
+// second arrival from another source moves it into the buckets ahead of the
+// newcomer, so a kAnySource receive still matches the earlier arrival, and
+// under a policy both sources are candidates in arrival order.
+TEST(TransportOracleTest, SecondArrivalSpillsTheInlineRecord) {
+  for (const bool with_policy : {false, true}) {
+    SCOPED_TRACE(with_policy);
+    MessagePool pool;
+    UnexpectedQueue queue;
+    ArrivalList ref;
+    LastCandidatePolicy policy;
+    const MsgHandle early = arrive(pool, queue, ref, /*src=*/3, /*tag=*/7);
+    expect_same_queue(pool, queue, ref);
+    const MsgHandle late = arrive(pool, queue, ref, /*src=*/1, /*tag=*/7);
+    expect_same_queue(pool, queue, ref);
+
+    MsgHandle want = early;
+    if (with_policy) {
+      const std::vector<MsgHandle> cand = ref.candidates(pool, 7);
+      ASSERT_EQ(cand, (std::vector<MsgHandle>{early, late}));
+      want = cand.back();
+      ref.erase(want);
+    } else {
+      ASSERT_EQ(ref.match(pool, kAnySource, 7), early);
+    }
+    const MsgHandle got =
+        queue.match(pool, kAnySource, 7, with_policy ? &policy : nullptr);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(policy.asked, with_policy ? 1 : 0);
+    EXPECT_EQ(pool.ref(got).state, MessageRec::State::kMatched);
+    pool.release(got);
+    expect_same_queue(pool, queue, ref);
+
+    // The survivor stays in the buckets; a wrong-source receive misses it.
+    EXPECT_FALSE(queue.match(pool, 2, 7).valid());
+    const MsgHandle rest = ref.match(pool, kAnySource, 7);
+    EXPECT_EQ(queue.match(pool, kAnySource, 7, with_policy ? &policy : nullptr),
+              rest);
+    EXPECT_EQ(policy.asked, with_policy ? 1 : 0);
+    pool.release(rest);
+    expect_same_queue(pool, queue, ref);
+  }
+}
+
+// A killed receiver holding one inline record releases it, and the pool's
+// free list hands its slot back first, as for a mapped record.
+TEST(TransportOracleTest, KilledReceiverReleasesTheInlineRecord) {
+  MessagePool pool;
+  UnexpectedQueue queue;
+  ArrivalList ref;
+  const MsgHandle h = arrive(pool, queue, ref, /*src=*/0, /*tag=*/4);
+  expect_same_queue(pool, queue, ref);
+  EXPECT_FALSE(queue.match(pool, 0, 5).valid());
+  EXPECT_FALSE(queue.match(pool, 1, 4).valid());
+  ASSERT_EQ(ref.clear_order(pool), std::vector<std::uint32_t>{h.index});
+  queue.clear(pool);
+  ref.clear();
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.get(h), nullptr);
+  expect_same_queue(pool, queue, ref);
+  const MsgHandle reused = pool.alloc();
+  EXPECT_EQ(reused.index, h.index);
+  pool.release(reused);
+
+  // The emptied queue takes an inline record again.
+  const MsgHandle next = arrive(pool, queue, ref, /*src=*/2, /*tag=*/4);
+  expect_same_queue(pool, queue, ref);
+  ASSERT_EQ(ref.match(pool, kAnySource, 4), next);
+  EXPECT_EQ(queue.match(pool, kAnySource, 4), next);
+  pool.release(next);
+  expect_same_queue(pool, queue, ref);
 }
 
 // --- NbHandleTable vs an ascending scan ------------------------------------
