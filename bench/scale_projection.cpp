@@ -26,10 +26,14 @@
 // --max-ranks=65536 adds the 16384- and 65536-rank legs plus a 65536-rank
 // streaming RSS cell gated against the committed ceiling. CI perf-smoke
 // uses the 4096 default to stay inside its budget; the committed artifact
-// is regenerated locally with the full projection.
+// is regenerated locally with the full projection. Two keys are recorded
+// for information and never gated: the host's transparent-huge-page mode
+// (`thp_mode`) and how much of the 65536-rank cell sat on 2 MiB pages
+// (`anon_huge_pages_kb_65536`), both of which move its RSS and speed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -220,7 +224,37 @@ struct CellResult {
   double cpu_s = 0;
   std::uint64_t hash = 0;
   std::int64_t peak_program_actions = 0;
+  long long anon_huge_kb = -1;  ///< AnonHugePages with the System still alive
 };
+
+/// The host's transparent-huge-page mode, the bracketed word of
+/// /sys/kernel/mm/transparent_hugepage/enabled ("always", "madvise",
+/// "never"), or "unknown" where the file is missing. Read-only.
+std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  const auto open = line.find('[');
+  const auto close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) {
+    return "unknown";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// This process's anonymous memory on 2 MiB pages in KB (AnonHugePages of
+/// /proc/self/smaps_rollup), or -1 where that file is missing.
+long long anon_huge_pages_kb() {
+  std::ifstream in("/proc/self/smaps_rollup");
+  const std::string key = "AnonHugePages:";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::atoll(line.c_str() + key.size());
+    }
+  }
+  return -1;
+}
 
 /// How a cell holds its rank programs: streamed chunk by chunk, or built
 /// whole up front and run through the run_mpi_job adapter (the retained
@@ -242,6 +276,7 @@ CellResult run_ring_cell(const RingSolver& s, Residency residency) {
   r.cpu_s = timer.seconds();
   r.hash = outcome_hash(sys, result);
   r.peak_program_actions = sys.peak_program_actions();
+  r.anon_huge_kb = anon_huge_pages_kb();
   return r;
 }
 
@@ -269,6 +304,7 @@ struct RssReport {
   std::uint64_t hash = 0;
   std::int64_t peak_program_actions = 0;
   long long rss_delta_kb = 0;  ///< getrusage maxrss growth over the cell
+  long long anon_huge_kb = -1;  ///< CellResult::anon_huge_kb
   bool measured = false;       ///< false: platform had no fork/getrusage
 };
 
@@ -290,6 +326,7 @@ RssReport measure_rss(const RingSolver& s, Residency residency) {
     std::uint64_t hash;
     std::int64_t peak_program_actions;
     long long rss_delta_kb;
+    long long anon_huge_kb;
   };
   int fd[2];
   if (pipe(fd) != 0) return {};
@@ -304,7 +341,8 @@ RssReport measure_rss(const RingSolver& s, Residency residency) {
     const long long base_kb = max_rss_kb();
     const CellResult cell = run_ring_cell(s, residency);
     const Wire wire{static_cast<std::int64_t>(cell.cpu_s * 1e9), cell.hash,
-                    cell.peak_program_actions, max_rss_kb() - base_kb};
+                    cell.peak_program_actions, max_rss_kb() - base_kb,
+                    cell.anon_huge_kb};
     const ssize_t wrote = write(fd[1], &wire, sizeof wire);
     close(fd[1]);
     _exit(wrote == static_cast<ssize_t>(sizeof wire) ? 0 : 1);
@@ -329,6 +367,7 @@ RssReport measure_rss(const RingSolver& s, Residency residency) {
   report.hash = wire.hash;
   report.peak_program_actions = wire.peak_program_actions;
   report.rss_delta_kb = wire.rss_delta_kb;
+  report.anon_huge_kb = wire.anon_huge_kb;
   report.measured = true;
   return report;
 }
@@ -343,6 +382,7 @@ RssReport measure_rss(const RingSolver& s, Residency residency) {
   report.cpu_s = cell.cpu_s;
   report.hash = cell.hash;
   report.peak_program_actions = cell.peak_program_actions;
+  report.anon_huge_kb = cell.anon_huge_kb;
   return report;
 }
 
@@ -415,10 +455,13 @@ int main(int argc, char** argv) {
                 static_cast<long long>(giant.total_actions()));
     big = measure_rss(giant, Residency::kStreaming);
     std::printf("  streaming: peak RSS delta %8lld KB (ceiling %lld KB), "
-                "peak %9lld actions resident, %6.2f cpu s%s\n\n",
+                "peak %9lld actions resident, %6.2f cpu s%s\n",
                 big.rss_delta_kb, kStreamingRssCeilingKb,
                 static_cast<long long>(big.peak_program_actions), big.cpu_s,
                 big.measured ? "" : "  (rss unmeasured)");
+    std::printf("  AnonHugePages at the end of the run: %lld KB (THP mode "
+                "%s)\n\n",
+                big.anon_huge_kb, thp_mode().c_str());
     if (big.measured && big.rss_delta_kb > kStreamingRssCeilingKb) {
       std::printf("FAIL: 65536-rank streaming cell exceeds the RSS ceiling\n");
       return 1;
@@ -510,10 +553,12 @@ int main(int argc, char** argv) {
   json.set("ci_ceiling_streaming_rss_kb", kStreamingRssCeilingKb);
   json.set("ci_floor_streaming_actions_per_s", kActionsPerSFloor);
   json.set("max_ranks", max_ranks);
+  json.set("thp_mode", thp_mode());
   if (run_big && big.measured) {
     json.set("streaming_rss_delta_kb_65536", big.rss_delta_kb);
     json.set("streaming_peak_program_actions_65536_cell",
              static_cast<long long>(big.peak_program_actions));
+    json.set("anon_huge_pages_kb_65536", big.anon_huge_kb);
   }
   json.write();
   return 0;

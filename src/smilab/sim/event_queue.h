@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "smilab/sim/huge_pages.h"
 #include "smilab/sim/inline_callback.h"
 #include "smilab/time/sim_time.h"
 
@@ -253,7 +254,7 @@ class Engine {
   std::uint64_t tombstones_ = 0;  // cancelled entries still queued
   bool stopped_ = false;
   std::vector<Entry> heap_;  // implicit 4-ary min-heap
-  std::vector<Slot> slots_;
+  std::vector<Slot, HugePageAllocator<Slot>> slots_;
   std::uint32_t free_head_ = kNilSlot;
   SchedulePolicy* tie_break_ = nullptr;  // null: plain (time, seq) pops
 

@@ -269,7 +269,9 @@ System::System(SystemConfig cfg)
       smm_acct_(cfg.node_count),
       master_rng_(cfg.seed),
       refill_rng_(master_rng_.fork(stream_label("refill"))),
-      nic_rng_(master_rng_.fork(stream_label("nic"))) {
+      nic_rng_(master_rng_.fork(stream_label("nic"))),
+      tasks_(static_cast<std::size_t>(cfg.node_count) *
+             static_cast<std::size_t>(cfg.machine.logical_cpus())) {
   htt_refill_run_factor_ =
       master_rng_.fork(stream_label("htt_luck")).uniform(0.5, 1.8);
   node_speed_.resize(static_cast<std::size_t>(cfg.node_count), 1.0);
@@ -304,6 +306,10 @@ System::System(SystemConfig cfg)
 }
 
 System::~System() = default;
+
+std::size_t System::task_arena_bytes() const {
+  return tasks_.capacity() * sizeof(TaskImpl);
+}
 
 void System::set_online_cpus(int n) {
   assert(tasks_.empty() && "change CPU topology before spawning tasks");

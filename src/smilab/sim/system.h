@@ -28,6 +28,7 @@
 #include "smilab/os/costs.h"
 #include "smilab/sim/chunk_arena.h"
 #include "smilab/sim/event_queue.h"
+#include "smilab/sim/huge_pages.h"
 #include "smilab/sim/machine.h"
 #include "smilab/sim/run_result.h"
 #include "smilab/sim/task.h"
@@ -188,6 +189,9 @@ class System {
   [[nodiscard]] int task_node(TaskId t) const;
   /// Tasks spawned so far; ids are dense: TaskId{0} .. TaskId{count-1}.
   [[nodiscard]] int task_count() const { return static_cast<int>(tasks_.size()); }
+  /// Bytes of task-state chunks allocated so far: one chunk holds a task
+  /// per logical CPU of the cluster, at most 2 MiB (sim/chunk_arena.h).
+  [[nodiscard]] std::size_t task_arena_bytes() const;
   /// Sum of true (executing) CPU time over all tasks.
   [[nodiscard]] SimDuration total_true_cpu_time() const;
   /// Completion time of the last-finishing member of `g`; all members must
@@ -456,7 +460,7 @@ class System {
   std::vector<NodeState> node_state_;
   /// Every node's logical CPUs, node-major: node n's CPU c is
   /// cpus_[n * cpus_per_node_ + c].
-  std::vector<CpuState> cpus_;
+  std::vector<CpuState, HugePageAllocator<CpuState>> cpus_;
   int cpus_per_node_ = 0;
   MessagePool pool_;
   AckRouter ack_router_;

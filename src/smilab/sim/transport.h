@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "smilab/sim/flat_key_map.h"
+#include "smilab/sim/huge_pages.h"
 #include "smilab/sim/task.h"
 #include "smilab/time/sim_time.h"
 
@@ -167,7 +168,7 @@ class MessagePool {
     bool live = false;
   };
 
-  std::vector<Slot> slots_;
+  std::vector<Slot, HugePageAllocator<Slot>> slots_;
   std::uint32_t free_head_ = MessageRec::kNil;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;

@@ -73,6 +73,8 @@ TEST(SmilintFixtureTest, CorpusFindingsExact) {
        false},
       {"tools/smilint/fixtures/d5_new_delete.cpp", 9, 5, Rule::kRawNewDelete,
        false},
+      {"tools/smilint/fixtures/d5_new_delete.cpp", 15, 34,
+       Rule::kRawNewDelete, false},
       {"tools/smilint/fixtures/d6_float_reduce.cpp", 10, 3,
        Rule::kUnorderedIter, false},
       {"tools/smilint/fixtures/d6_float_reduce.cpp", 11, 5, Rule::kFloatReduce,
@@ -112,7 +114,7 @@ TEST(SmilintFixtureTest, CorpusFindingsExact) {
     EXPECT_EQ(report.findings[i].suppressed, expected[i].suppressed);
     EXPECT_FALSE(report.findings[i].snippet.empty());
   }
-  EXPECT_EQ(report.unsuppressed_count(), 24);
+  EXPECT_EQ(report.unsuppressed_count(), 25);
   EXPECT_EQ(report.suppressed_count(), 4);
   EXPECT_EQ(report.baselined_count(), 0);
   EXPECT_EQ(report.info_count(), 0);

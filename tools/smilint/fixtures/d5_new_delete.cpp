@@ -1,5 +1,5 @@
-// Fixture: raw allocation outside the slab allocators.
-// Expected: D5 on lines 7 and 9; `= delete` and `operator new` are inert.
+// Fixture: raw allocation outside the slab allocators. Expected: D5 on
+// lines 7, 9 and 15; `= delete`, `operator new` and line 14's #include pass.
 struct FixtureBox {
   FixtureBox(const FixtureBox&) = delete;  // deleted function: fine
 
@@ -10,3 +10,6 @@ struct FixtureBox {
     return nullptr;
   }
 };
+
+#include <new>
+int* fixture_make_one() { return new int(0); }  // D5

@@ -143,6 +143,7 @@ Lexed lex(std::string_view text) {
       code.push_back('\n');
       code_pos.push_back({line, col});
       advance(i + 1);
+      at_line_start = true;
       continue;
     }
     if (at_line_start && c == '#') {
