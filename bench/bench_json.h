@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,8 +84,16 @@ class BenchJson {
   }
 
   /// Writes BENCH_<name>.json; reports the path (or failure) on stdout.
+  /// A --quick run (`"quick": true`) keeps an existing file that holds a
+  /// full run (`"quick": false`), such as the committed copies at the
+  /// repository root.
   void write() const {
     const std::string path = "BENCH_" + name_ + ".json";
+    if (is_quick() && holds_full_run(path)) {
+      std::printf("(kept %s: it holds a full run, and this run is --quick)\n",
+                  path.c_str());
+      return;
+    }
     FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::printf("(could not write %s)\n", path.c_str());
@@ -101,6 +111,20 @@ class BenchJson {
   }
 
  private:
+  [[nodiscard]] bool is_quick() const {
+    for (const auto& [key, value] : fields_) {
+      if (key == "quick") return value == "true";
+    }
+    return false;
+  }
+
+  static bool holds_full_run(const std::string& path) {
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    return text.find("\"quick\": false") != std::string::npos;
+  }
+
   static std::string escaped(const std::string& s) {
     std::string out;
     out.reserve(s.size());

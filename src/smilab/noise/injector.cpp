@@ -26,10 +26,12 @@ void OsNoiseInjector::arm(int node, SimDuration delay) {
 
 void OsNoiseInjector::fire(int node) {
   ++events_;
-  // Skip the event if the node is mid-SMM (an OS-level wakeup would simply
-  // be deferred; keeping the schedules disjoint also keeps freeze state
-  // single-owner).
-  if (!sys_.node_in_smm(node)) {
+  // Skip the event while a whole-node cause (SMM, a fault freeze, a crash)
+  // holds the node: an OS-level wakeup would simply be deferred. So a
+  // preemption never starts inside a stop; one that a stop overlaps ends
+  // with the node's thaw (System::resume_cpu).
+  if (!sys_.node_in_smm(node) && !sys_.node_fault_frozen(node) &&
+      !sys_.node_crashed(node)) {
     int victim = next_cpu_[static_cast<std::size_t>(node)];
     const Node& topo = sys_.cluster().node(node);
     if (!topo.is_online(victim)) victim = 0;

@@ -219,10 +219,11 @@ class System {
 
   /// Preempt one logical CPU (an OS-level noise event: daemon, IRQ storm,
   /// kernel thread). Unlike SMM this stops neither the other CPUs nor the
-  /// NIC — the contrast the SMI-vs-OS-noise ablation measures. The CPU must
-  /// not already be frozen (by SMM or a previous preemption).
+  /// NIC — the contrast the SMI-vs-OS-noise ablation measures. The node
+  /// must not be stopped (SMM, fault freeze) nor the CPU already preempted.
   void preempt_cpu(int node, int cpu);
-  /// Undo preempt_cpu: no refill penalty, no SMM accounting.
+  /// Undo preempt_cpu: no refill penalty, no SMM accounting. While SMM or a
+  /// fault freeze holds the node, the CPU thaws with the node instead.
   void resume_cpu(int node, int cpu);
 
   // --- Fault hooks (driven by fault/FaultInjector) ---------------------------
@@ -332,8 +333,8 @@ class System {
   /// Internal consistency checker (used by the fuzz harness and tests):
   /// every CPU's `current` cross-references a task that believes it is on
   /// that CPU; every queued task sits in exactly its own CPU's runqueue;
-  /// frozen flags agree with node SMM state (outside single-CPU
-  /// preemptions); finished tasks hold no execution state. Transport side:
+  /// every online CPU of a node in SMM or a fault freeze is frozen;
+  /// finished tasks hold no execution state. Transport side:
   /// the message pool's free-list bookkeeping holds, the in-flight counter
   /// equals the pool's kTransit population, every unexpected queue is
   /// structurally sound and their sizes sum to the pool's kUnexpected
@@ -346,51 +347,51 @@ class System {
   struct CpuState;
   struct NodeState;
 
-  TaskImpl& task(TaskId id);
-  const TaskImpl& task(TaskId id) const;
+  // Defined in sim/system_impl.h.
+  inline TaskImpl& task(TaskId id);
+  inline const TaskImpl& task(TaskId id) const;
+  inline CpuState& cpu_state(int node, int cpu);
+  inline const CpuState& cpu_state(int node, int cpu) const;
+  inline NodeState& node_state(int node);
+  inline const NodeState& node_state(int node) const;
   /// task() for a caller's id: throws std::out_of_range past the last spawn.
   const TaskImpl& checked_task(TaskId id) const;
-  CpuState& cpu_state(int node, int cpu);
-  const CpuState& cpu_state(int node, int cpu) const;
-  NodeState& node_state(int node);
-  const NodeState& node_state(int node) const;
 
   // Placement and scheduling.
   int place(const TaskSpec& spec);
   void make_ready(TaskImpl& t);
   void dispatch(int node, int cpu);
   void steal_into(int node, int cpu);
-  void preempt_current(int node, int cpu);
   void arm_quantum(int node, int cpu);
+  void cancel_quantum(CpuState& cs);
 
   // Execution progress.
   double current_rate(const TaskImpl& t) const;
   void settle(TaskImpl& t);
   void begin_running(TaskImpl& t);
-  void stop_running(TaskImpl& t, bool keep_on_cpu);
+  void start_work(TaskImpl& t, SimDuration amount);
+  void stop_running(TaskImpl& t);
   void reschedule_completion(TaskImpl& t);
+  void cancel_completion(TaskImpl& t);
   void on_work_complete(TaskImpl& t);
+  /// Settle and re-rate the task running on `cpu`, if any.
+  void repace(int node, int cpu);
   void sibling_rate_changed(int node, int cpu);
   [[nodiscard]] bool sibling_busy(const TaskImpl& t) const;
 
   // Action interpretation.
   void start_next_action(TaskImpl& t);
   void step_action(TaskImpl& t);
-  void start_work(TaskImpl& t, SimDuration amount);
   void finish_task(TaskImpl& t);
-  // step_action's shared moves, also used by the wake paths. Defined in
-  // system.cpp, their only caller, and forced inline: GCC's unit-growth
-  // limit otherwise leaves some out of line on the per-action path, which
-  // cost the SMI-free ring ~4% per event.
-  [[gnu::always_inline]] inline void end_action(TaskImpl& t);
-  [[gnu::always_inline]] inline void park(TaskImpl& t);
-  [[gnu::always_inline]] inline void wake(TaskImpl& t);
-  [[gnu::always_inline]] inline void await_own_ack(TaskImpl& t);
-  [[gnu::always_inline]] inline bool start_recv(TaskImpl& t, int src_rank,
-                                                int tag);
-  [[gnu::always_inline]] inline void start_copy(TaskImpl& t,
-                                                const MessageRec& msg);
-  [[gnu::always_inline]] inline void finish_copy(TaskImpl& t, MsgHandle& slot);
+  // step_action's shared moves, also used by the wake paths, defined in
+  // system_messaging.cpp (CI checks that none is left out of line).
+  inline void end_action(TaskImpl& t);
+  inline void park(TaskImpl& t);
+  inline void wake(TaskImpl& t);
+  inline void await_own_ack(TaskImpl& t);
+  inline bool start_recv(TaskImpl& t, int src_rank, int tag);
+  inline void start_copy(TaskImpl& t, const MessageRec& msg);
+  inline void finish_copy(TaskImpl& t, MsgHandle& slot);
 
   // Messaging. Records live in pool_ and are addressed by generation-checked
   // MsgHandles; see sim/transport.h for the lifecycle and recycle policy.
@@ -419,19 +420,28 @@ class System {
   NicServer& nic(int node, bool egress);
   void nic_submit(int node, bool egress, MsgHandle h);
   void nic_try_serve(int node, bool egress);
+  /// (Re)start serving `server.active` for `server.remaining`.
+  void nic_arm(NicServer& server, int node, bool egress);
   void nic_service_done(int node, bool egress, std::uint64_t epoch);
-  void nic_pause(int node, bool egress);
-  void nic_resume(int node, bool egress);
+  /// Pause / resume both directions of the node's NIC (refcounted).
+  void nic_pause(int node);
+  void nic_resume(int node);
 
-  // SMM and fault-freeze helpers.
+  // Stops (system_stops.cpp): SMM and fault freezes share one node-wide
+  // stop/start pair, and OS noise its per-CPU freeze/thaw.
+  /// What an SMM exit charges each task it thaws: the freeze as OS-view
+  /// time, and a refill over its warm share.
+  struct SmmCharge {
+    SimDuration frozen_for;
+    double warm_fraction;
+  };
   /// Stop one CPU: cancel its preemption timer and settle and park the
   /// running task (its completion event is invalidated).
   void freeze_cpu(int node, int cpu);
-  /// freeze_cpu every online CPU of `node` not already stopped.
-  void freeze_online_cpus(int node);
-  /// End a whole-node freeze: service the timer wakes deferred during it,
-  /// then dispatch every online CPU.
-  void release_node(int node);
+  void thaw_cpu(int node, int cpu, const SmmCharge* smm);
+  void stop_node(int node);
+  /// Thaws the node's CPUs only once no cause holds it.
+  void start_node(int node, const SmmCharge* smm);
   void apply_refill(TaskImpl& t, Rng& rng, SimDuration frozen_for);
 
   // Fault and diagnosis helpers.

@@ -3,6 +3,7 @@
 // transport's retransmission state machine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "smilab/fault/fault_plan.h"
 #include "smilab/mpi/job.h"
 #include "smilab/mpi/program.h"
+#include "smilab/noise/injector.h"
 #include "smilab/sim/system.h"
 #include "smilab/trace/chrome_trace.h"
 
@@ -48,6 +50,48 @@ std::vector<int> one_rank_per_node(int nranks) {
   std::vector<int> placement(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) placement[static_cast<std::size_t>(r)] = r;
   return placement;
+}
+
+/// Long SMIs every second whose first SMM interval enters at `phase`.
+SystemConfig smi_config(int nodes, SimDuration phase) {
+  SystemConfig cfg = base_config(nodes);
+  cfg.smi = SmiConfig::long_every_second();
+  cfg.smi.fixed_initial_phase = phase;
+  return cfg;
+}
+
+/// One OS-noise preemption of node 0's CPU 0 over [at, at + duration]
+/// (the next one lies past every run here).
+OsNoiseConfig noise_on_cpu0(SimDuration at, SimDuration duration) {
+  OsNoiseConfig noise;
+  noise.duration = duration;
+  noise.interval = seconds(10);
+  noise.cpu = 0;
+  noise.fixed_initial_phase = at;
+  return noise;
+}
+
+TaskId spawn_on_cpu0(System& sys, std::vector<Action> actions, int node = 0) {
+  TaskSpec spec = TaskSpec::with_actions("t", node, std::move(actions));
+  spec.pinned_cpu = 0;
+  return sys.spawn(std::move(spec));
+}
+
+/// A task's exact outcome, in nanoseconds.
+struct Outcome {
+  std::int64_t end_ns;
+  std::int64_t true_cpu_ns;
+  std::int64_t smm_stolen_ns;
+  std::int64_t smm_hits;
+  std::int64_t refill_ns;
+};
+
+void expect_outcome(const TaskStats& stats, const Outcome& want) {
+  EXPECT_EQ(stats.end_time.ns(), want.end_ns);
+  EXPECT_EQ(stats.true_cpu_time.ns(), want.true_cpu_ns);
+  EXPECT_EQ(stats.smm_stolen_time.ns(), want.smm_stolen_ns);
+  EXPECT_EQ(stats.smm_hits, want.smm_hits);
+  EXPECT_EQ(stats.refill_overhead.ns(), want.refill_ns);
 }
 
 /// Run the ring job under SMI noise, optionally with a fault injector, and
@@ -107,24 +151,126 @@ TEST(FaultInjectorTest, FreezeDelaysComputeByItsDuration) {
   EXPECT_NEAR(rec.end.seconds(), 0.5, 1e-9);
 }
 
+// The cross-cause stop cases below pin exact outcomes: SMM, fault freezes
+// and single-CPU noise stop CPUs through one rule (sim/system_stops.cpp).
+
 TEST(FaultInjectorTest, FreezeComposesWithSmi) {
-  // A fault freeze that straddles an SMM interval: whichever mechanism
-  // releases the node last resumes it, and the run still completes.
-  SystemConfig cfg = base_config(1);
-  cfg.smi = SmiConfig::long_every_second();
-  cfg.smi.fixed_initial_phase = milliseconds(100);  // SMM roughly [100,205]ms
-  System sys{cfg};
+  // A fault freeze [150, 550] ms that outlasts SMM [100, 204] ms: the
+  // freeze's end resumes the node, and that SMM exit charges nothing (no
+  // OS-view time, no refill). The task's one SMM hit is the next SMI,
+  // [1.204, 1.310] s.
+  System sys{smi_config(1, milliseconds(100))};
   FaultPlan plan;
   plan.freeze(0, SimTime::zero() + milliseconds(150), milliseconds(400));
   const FaultInjector injector{sys, plan};
-  std::vector<Action> prog;
-  prog.push_back(Compute{seconds(1)});
-  const TaskId id = sys.spawn(TaskSpec::with_actions("t", 0, std::move(prog)));
+  const TaskId id = spawn_on_cpu0(sys, {Compute{seconds(1)}});
   sys.run();
-  const TaskStats& stats = sys.task_stats(id);
-  EXPECT_TRUE(stats.finished);
-  // At least the freeze tail past the SMM exit is added on top of the work.
-  EXPECT_GT((stats.end_time - stats.start_time).seconds(), 1.3);
+  EXPECT_TRUE(sys.task_stats(id).finished);
+  expect_outcome(sys.task_stats(id),
+                 {1'606'216'807, 1'050'502'047, 105'714'760, 1, 50'502'047});
+}
+
+TEST(FaultInjectorTest, SmmThatOutlastsAFreezeChargesItsWholeResidency) {
+  // A freeze [120, 160] ms inside SMM [100, 204] ms: the SMM exit resumes
+  // the node and charges the task the whole residency and a refill.
+  System sys{smi_config(1, milliseconds(100))};
+  FaultPlan plan;
+  plan.freeze(0, SimTime::zero() + milliseconds(120), milliseconds(40));
+  const FaultInjector injector{sys, plan};
+  const TaskId id = spawn_on_cpu0(sys, {Compute{seconds(1)}});
+  sys.run();
+  expect_outcome(sys.task_stats(id),
+                 {1'164'634'437, 1'060'642'394, 103'992'043, 1, 60'642'394});
+}
+
+TEST(FaultInjectorTest, CrashInsideSmmKillsWithoutAnSmmCharge) {
+  // Node 0 crashes at 150 ms, inside its SMM [100, 204] ms: the task dies
+  // with the 100 ms it ran, and the SMM exit charges nobody. Node 1 rides
+  // out its own SMM as usual.
+  System sys{smi_config(2, milliseconds(100))};
+  FaultPlan plan;
+  plan.crash(0, SimTime::zero() + milliseconds(150));
+  const FaultInjector injector{sys, plan};
+  const TaskId doomed = spawn_on_cpu0(sys, {Compute{seconds(1)}}, /*node=*/0);
+  const TaskId survivor = spawn_on_cpu0(sys, {Compute{seconds(1)}}, /*node=*/1);
+  EXPECT_TRUE(sys.try_run().ok());
+  EXPECT_TRUE(sys.task_stats(doomed).failed);
+  expect_outcome(sys.task_stats(doomed), {150'000'000, 100'000'000, 0, 0, 0});
+  expect_outcome(sys.task_stats(survivor),
+                 {1'164'933'908, 1'060'752'160, 104'181'748, 1, 60'752'160});
+  sys.validate();
+}
+
+TEST(FaultInjectorTest, SmmExitEndsAnOverlappingPreemptionEarly) {
+  // Noise preempts CPU 0 over [100, 300] ms and SMM stops the node over
+  // [150, 254] ms. The SMM exit thaws every online CPU, the preempted one
+  // too, so the task resumes at 254 ms and takes the SMM charge.
+  System sys{smi_config(1, milliseconds(150))};
+  const OsNoiseInjector noise{sys, noise_on_cpu0(milliseconds(100),
+                                                 milliseconds(200))};
+  const TaskId id = spawn_on_cpu0(sys, {Compute{milliseconds(500)}});
+  sys.run();
+  expect_outcome(sys.task_stats(id),
+                 {714'634'437, 560'642'394, 103'992'043, 1, 60'642'394});
+}
+
+TEST(FaultInjectorTest, SleepTimerInsideSmmWakesAtItsExit) {
+  // The 150 ms timer fires inside SMM [100, 204] ms and waits for the exit;
+  // the sleeping task was off its CPU, so it takes no SMM charge.
+  System sys{smi_config(1, milliseconds(100))};
+  const TaskId id = spawn_on_cpu0(
+      sys, {Sleep{milliseconds(150)}, Compute{milliseconds(100)}});
+  sys.run();
+  expect_outcome(sys.task_stats(id), {303'992'043, 100'000'000, 0, 0, 0});
+}
+
+TEST(FaultInjectorTest, SleepTimerInsideFreezeWakesAtItsEnd) {
+  System sys{base_config(1)};
+  FaultPlan plan;
+  plan.freeze(0, SimTime::zero() + milliseconds(100), milliseconds(200));
+  const FaultInjector injector{sys, plan};
+  const TaskId id = spawn_on_cpu0(
+      sys, {Sleep{milliseconds(150)}, Compute{milliseconds(100)}});
+  sys.run();
+  expect_outcome(sys.task_stats(id), {400'000'000, 100'000'000, 0, 0, 0});
+}
+
+TEST(FaultInjectorTest, PreemptionEndInsideFreezeWaitsForTheThaw) {
+  // Noise preempts CPU 0 over [100, 205] ms and a freeze holds the node over
+  // [150, 550] ms. The preemption's end defers to the thaw, as it does to an
+  // SMM exit, so the first compute's last 20 ms run from 550 ms. (Restarting
+  // the CPU inside the freeze retired it at 225 ms and then dropped the
+  // 325 ms the task ran until the thaw.)
+  System sys{base_config(1)};
+  FaultPlan plan;
+  plan.freeze(0, SimTime::zero() + milliseconds(150), milliseconds(400));
+  const FaultInjector injector{sys, plan};
+  const OsNoiseInjector noise{sys, noise_on_cpu0(milliseconds(100),
+                                                 milliseconds(105))};
+  SimTime retired{-1};
+  const TaskId id = spawn_on_cpu0(
+      sys, {Compute{milliseconds(120)}, Call{[&] { retired = sys.now(); }},
+            Compute{milliseconds(500)}});
+  sys.run_for(milliseconds(300));
+  sys.validate();  // every online CPU of the frozen node is still frozen
+  sys.run();
+  EXPECT_EQ(retired.ns(), 570'000'000);
+  expect_outcome(sys.task_stats(id), {1'070'000'000, 620'000'000, 0, 0, 0});
+}
+
+TEST(FaultInjectorTest, NoiseEventInsideFreezeIsSkipped) {
+  // The noise event at 100 ms falls inside the freeze [50, 300] ms, so the
+  // injector skips it: the task loses exactly the freeze.
+  System sys{base_config(1)};
+  FaultPlan plan;
+  plan.freeze(0, SimTime::zero() + milliseconds(50), milliseconds(250));
+  const FaultInjector injector{sys, plan};
+  const OsNoiseInjector noise{sys, noise_on_cpu0(milliseconds(100),
+                                                 milliseconds(105))};
+  const TaskId id = spawn_on_cpu0(sys, {Compute{milliseconds(500)}});
+  sys.run();
+  EXPECT_EQ(noise.events(), 1);
+  expect_outcome(sys.task_stats(id), {750'000'000, 500'000'000, 0, 0, 0});
 }
 
 TEST(FaultInjectorTest, DroppedMessagesAreRetransmitted) {
