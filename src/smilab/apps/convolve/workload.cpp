@@ -59,7 +59,6 @@ ConvolveRunResult simulate_convolve(const ConvolveWorkload& workload,
   SystemConfig cfg;
   cfg.machine = MachineSpec::poweredge_r410_e5620();
   cfg.node_count = 1;
-  cfg.os.tickless = true;  // the multithreaded study ran a tickless kernel
   cfg.smi = smi;
   cfg.seed = seed;
   assert(online_cpus >= 1 && online_cpus <= cfg.machine.logical_cpus());

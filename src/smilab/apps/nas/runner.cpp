@@ -136,18 +136,34 @@ NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options)
       3 * options.trials, [&](int i) {
         const int k = i / options.trials;
         const int trial = i % options.trials;
-        SmiConfig smi = configs[k];
-        smi.synchronized_across_nodes = options.synchronized_smis;
         const std::uint64_t seed =
             options.seed * 2654435761u + static_cast<std::uint64_t>(k) * 97 +
             static_cast<std::uint64_t>(trial) * 1013904223u + (spec.htt ? 7 : 0);
-        return simulate_nas_once(spec, result.knob, smi, seed,
-                                 options.node_speed_sigma);
+        return simulate_nas_once(spec, result.knob, configs[k], seed,
+                                 kNasNodeSpeedSigma);
       });
   for (int k = 0; k < 3; ++k) {
     for (int trial = 0; trial < options.trials; ++trial) {
       stats[k]->add(seconds[static_cast<std::size_t>(k * options.trials + trial)]);
     }
+  }
+  return result;
+}
+
+NasPairResult run_nas_pair(const NasJobSpec& spec, const SmiConfig& smi,
+                           std::uint64_t seed, int trials, int jobs) {
+  const NasKnob knob = calibrate_nas_knob(spec);
+  const ExperimentSweep sweep{jobs};
+  const std::vector<double> runs = sweep.map<double>(2 * trials, [&](int i) {
+    const SmiConfig& cfg = (i % 2 == 0) ? SmiConfig::none() : smi;
+    return simulate_nas_once(spec, knob, cfg,
+                             seed + static_cast<std::uint64_t>(i / 2),
+                             kNasNodeSpeedSigma);
+  });
+  NasPairResult result;
+  for (int t = 0; t < trials; ++t) {
+    result.base.add(runs[static_cast<std::size_t>(2 * t)]);
+    result.noisy.add(runs[static_cast<std::size_t>(2 * t + 1)]);
   }
   return result;
 }

@@ -17,11 +17,13 @@
 
 namespace smilab {
 
+/// Per-node speed spread (stddev) of every measured NAS run: non-SMI
+/// run-to-run system noise.
+inline constexpr double kNasNodeSpeedSigma = 0.003;
+
 struct NasRunOptions {
   int trials = 6;                  ///< the paper averaged six runs
-  double node_speed_sigma = 0.003; ///< non-SMI run-to-run system noise
   std::uint64_t seed = 2016;
-  bool synchronized_smis = false;  ///< ablation knob
   /// Worker threads for independent (regime, trial) sims inside a cell
   /// (and for whole cells in the table builders). 1 = historical serial
   /// path; <=0 = hardware concurrency. Results are byte-identical at any
@@ -86,5 +88,17 @@ std::int64_t physical_exchange_bytes(const NasJobSpec& spec);
 
 /// Look up the knob and measure a cell under SMM 0/1/2.
 NasCellResult run_nas_cell(const NasJobSpec& spec, const NasRunOptions& options);
+
+/// `trials` paired runs of one cell: trial t runs SMI-free and under `smi`,
+/// both on seed + t (`smilab nas` and serve's nas experiment).
+struct NasPairResult {
+  OnlineStats base;
+  OnlineStats noisy;
+};
+
+/// The (regime, trial) sims fan across `jobs` workers and fold back in
+/// trial order, so the stats are bit-identical at any job count.
+NasPairResult run_nas_pair(const NasJobSpec& spec, const SmiConfig& smi,
+                           std::uint64_t seed, int trials, int jobs);
 
 }  // namespace smilab

@@ -51,7 +51,6 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   SystemConfig cfg;
   cfg.machine = MachineSpec::poweredge_r410_e5620();
   cfg.node_count = 1;
-  cfg.os.tickless = true;
   cfg.smi = options.smi;
   cfg.seed = options.seed ^ (static_cast<std::uint64_t>(spec.test) << 32);
   System sys{cfg};
@@ -70,7 +69,7 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   // CPU none is time-shared. A batch boundary is then unobservable, and
   // one Compute of the first batches - 1 batches plus a 1 ms tail finishes
   // at the same nanosecond as the batched run:
-  // - the rate is exactly 1.0 (tickless kernel, node_speed_sigma = 0, no
+  // - the rate is exactly 1.0 (no tick cost, node_speed_sigma = 0, no
   //   fault model, no busy sibling), so settle and scale round nothing;
   // - an SMM freeze mid-run adds the same refill draw, in the same CPU
   //   order, whether it lands in work_left or in pending_overhead;

@@ -20,6 +20,7 @@
 #include "smilab/mpi/job.h"
 #include "smilab/mpi/streaming.h"
 #include "smilab/noise/hwlat.h"
+#include "smilab/serve/request.h"
 #include "smilab/serve/server.h"
 #include "smilab/sim/system.h"
 #include "smilab/smm/rim.h"
@@ -34,9 +35,9 @@ constexpr const char* kUsage = R"(smilab — SMI noise laboratory
 usage: smilab <command> [--flag=value ...]
 
 commands:
-  nas        --workload=ep|bt|ft --class=A|B|C [--nodes=N] [--ranks-per-node=1..8]
-             [--htt] [--smi=none|short|long] [--interval-ms=N] [--trials=N]
-             [--seed=N] [--jobs=N]
+  nas        [--workload=ep|bt|ft] [--class=A|B|C] [--nodes=1..64]
+             [--ranks-per-node=1..4] [--htt] [--smi=none|short|long]
+             [--gap-ms=N] [--trials=1..64] [--seed=N] [--jobs=N]
              Run one NAS cell under the chosen SMI regime. Cells the paper
              reports (1 or 4 ranks/node) are calibrated to its baseline.
   convolve   [--case=cf|cu] [--cpus=1..8] [--smi=none|short|long]
@@ -83,6 +84,9 @@ commands:
   help       This text.
 
 Each flag may appear once; a repeated or unknown flag is a usage error.
+nas, convolve and unixbench take serve's request fields as flags
+(`ranks_per_node` is --ranks-per-node); README "smilab serve" lists their
+defaults and bounds. A boolean flag is bare or =true|false|1|0.
 
 exit codes: 0 success, 2 usage error, 3 the simulation itself faulted
 (deadlock / hang / max_sim_time / invalid configuration).
@@ -95,16 +99,53 @@ constexpr long long kMaxGapMs = 3'600'000;
 constexpr long long kMaxNodes = 65'536;
 constexpr long long kMaxJobs = 1024;
 
-SmiConfig smi_from(const Options& options, std::string* error) {
-  const std::string kind = options.get("smi", "long");
-  const auto gap = options.get_int(
-      "gap-ms", options.get_int("interval-ms", 1000, 1, kMaxGapMs, error), 1,
-      kMaxGapMs, error);
-  if (kind == "none") return SmiConfig::none();
-  if (kind == "short") return SmiConfig::short_with_gap(gap);
-  if (kind == "long") return SmiConfig::long_with_gap(gap);
-  *error = "unknown --smi kind '" + kind + "' (none|short|long)";
-  return SmiConfig::none();
+/// The experiment schema's FieldReader over command-line flags: field
+/// `ranks_per_node` is flag --ranks-per-node, in the CLI's own wording.
+class OptionFields final : public serve::FieldReader {
+ public:
+  explicit OptionFields(const Options& options) : options_(options) {}
+
+  [[nodiscard]] std::optional<std::int64_t> take_int(
+      std::string_view key, std::int64_t fallback, std::int64_t lo,
+      std::int64_t hi, std::string* error) override {
+    std::string bad;
+    const long long v = options_.get_int(flag(key), fallback, lo, hi, &bad);
+    if (bad.empty()) return v;
+    *error = bad;
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<bool> take_bool(std::string_view key,
+                                              bool fallback,
+                                              std::string* error) override {
+    std::string bad;
+    const bool v = options_.get_bool(flag(key), fallback, &bad);
+    if (bad.empty()) return v;
+    *error = bad;
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<std::string> take_string(
+      std::string_view key, std::string fallback, std::string*) override {
+    return options_.get(flag(key), fallback);
+  }
+  [[nodiscard]] std::string label(std::string_view key) const override {
+    return "--" + flag(key);
+  }
+
+ private:
+  static std::string flag(std::string_view key) {
+    std::string name{key};
+    for (char& c : name) {
+      if (c == '_') c = '-';
+    }
+    return name;
+  }
+  const Options& options_;
+};
+
+SmiConfig smi_from(const Options& options, SmiKind fallback,
+                   std::string* error) {
+  OptionFields in{options};
+  return serve::take_smi(in, fallback, error).value_or(SmiConfig::none());
 }
 
 int fail(std::ostream& err, const std::string& message) {
@@ -135,58 +176,23 @@ void maybe_write_trace(const Options& options, const System& sys,
 
 int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
-  const std::string workload = options.get("workload", "ep");
-  NasJobSpec spec;
-  if (workload == "ep") spec.bench = NasBenchmark::kEP;
-  else if (workload == "bt") spec.bench = NasBenchmark::kBT;
-  else if (workload == "ft") spec.bench = NasBenchmark::kFT;
-  else return fail(err, "unknown --workload '" + workload + "' (ep|bt|ft)");
-
-  const std::string cls = options.get("class", "A");
-  if (cls == "A") spec.cls = NasClass::kA;
-  else if (cls == "B") spec.cls = NasClass::kB;
-  else if (cls == "C") spec.cls = NasClass::kC;
-  else return fail(err, "unknown --class '" + cls + "' (A|B|C)");
-
-  spec.nodes =
-      static_cast<int>(options.get_int("nodes", 4, 1, kMaxNodes, &error));
-  spec.ranks_per_node =
-      static_cast<int>(options.get_int("ranks-per-node", 1, 1, 8, &error));
-  spec.htt = options.get_bool("htt", false);
-  const auto trials =
-      static_cast<int>(options.get_int("trials", 3, 1, 10'000, &error));
-  const auto seed = static_cast<std::uint64_t>(
-      options.get_int("seed", 2016, 0, kMaxSeed, &error));
+  const auto req =
+      parse_experiment_flags(serve::ExperimentKind::kNas, options, &error);
+  if (!req) return fail(err, error);
   const auto jobs =
       static_cast<int>(options.get_int("jobs", 1, 0, kMaxJobs, &error));
-  const SmiConfig smi = smi_from(options, &error);
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
-  if (!nas_valid_rank_count(spec.bench, spec.ranks())) {
-    return fail(err, std::string(to_string(spec.bench)) +
-                         " does not support " + std::to_string(spec.ranks()) +
-                         " ranks (BT: square, FT: power of two)");
-  }
 
-  const NasKnob knob = calibrate_nas_knob(spec);
-  // The (regime, trial) cells are independent sims: fan them across the
-  // sweep pool (--jobs=N) and fold back in serial order, so the output is
-  // byte-identical at any job count.
-  const ExperimentSweep sweep{jobs};
-  const std::vector<double> runs = sweep.map<double>(2 * trials, [&](int i) {
-    const SmiConfig& cfg = (i % 2 == 0) ? SmiConfig::none() : smi;
-    return simulate_nas_once(spec, knob, cfg,
-                             seed + static_cast<std::uint64_t>(i / 2), 0.003);
-  });
-  OnlineStats base, noisy;
-  for (int t = 0; t < trials; ++t) {
-    base.add(runs[static_cast<std::size_t>(2 * t)]);
-    noisy.add(runs[static_cast<std::size_t>(2 * t + 1)]);
-  }
+  const NasJobSpec& spec = req->nas;
+  const NasPairResult pair = run_nas_pair(spec, req->smi_config(), req->seed,
+                                          req->nas_trials, jobs);
+  const OnlineStats& base = pair.base;
+  const OnlineStats& noisy = pair.noisy;
   out << "NAS " << to_string(spec.bench) << " class " << to_string(spec.cls)
       << ", " << spec.nodes << " node(s) x " << spec.ranks_per_node
-      << " rank(s)/node" << (spec.htt ? ", HTT on" : "") << ", " << trials
-      << " trial(s)\n";
+      << " rank(s)/node" << (spec.htt ? ", HTT on" : "") << ", "
+      << req->nas_trials << " trial(s)\n";
   const auto paper = nas_paper_baseline(spec);
   const double work = nas_work_units(spec.bench, spec.cls);
   out << "  no SMIs:   " << base.mean() << " s";
@@ -202,21 +208,20 @@ int cmd_nas(const Options& options, std::ostream& out, std::ostream& err) {
 
 int cmd_convolve(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
-  const std::string which = options.get("case", "cu");
-  ConvolveWorkload workload;
-  if (which == "cf") workload = ConvolveWorkload::cache_friendly_workload();
-  else if (which == "cu") workload = ConvolveWorkload::cache_unfriendly_workload();
-  else return fail(err, "unknown --case '" + which + "' (cf|cu)");
-  const auto cpus = static_cast<int>(options.get_int("cpus", 8, 1, 8, &error));
-  const auto seed = static_cast<std::uint64_t>(
-      options.get_int("seed", 1, 0, kMaxSeed, &error));
-  const SmiConfig smi = smi_from(options, &error);
-  if (!error.empty()) return fail(err, error);
+  const auto req =
+      parse_experiment_flags(serve::ExperimentKind::kConvolve, options, &error);
+  if (!req) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
 
-  const auto base = run_convolve_sim(workload, cpus, SmiConfig::none(), seed);
-  const auto noisy = run_convolve_sim(workload, cpus, smi, seed);
-  out << "Convolve " << (which == "cf" ? "CacheFriendly" : "CacheUnfriendly")
+  const bool cf = req->convolve_cache_friendly;
+  const ConvolveWorkload workload =
+      cf ? ConvolveWorkload::cache_friendly_workload()
+         : ConvolveWorkload::cache_unfriendly_workload();
+  const int cpus = req->convolve_cpus;
+  const auto base =
+      run_convolve_sim(workload, cpus, SmiConfig::none(), req->seed);
+  const auto noisy = run_convolve_sim(workload, cpus, req->smi_config(), req->seed);
+  out << "Convolve " << (cf ? "CacheFriendly" : "CacheUnfriendly")
       << " (" << workload.cache.l1_miss_rate * 100.0 << "% L1 miss), "
       << workload.threads << " threads on " << cpus << " logical CPU(s)\n";
   out << "  no SMIs:   " << base.seconds << " s\n";
@@ -228,17 +233,16 @@ int cmd_convolve(const Options& options, std::ostream& out, std::ostream& err) {
 
 int cmd_unixbench(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
-  UnixBenchOptions ub;
-  ub.online_cpus =
-      static_cast<int>(options.get_int("cpus", 8, 1, 8, &error));
-  ub.seed = static_cast<std::uint64_t>(
-      options.get_int("seed", 1, 0, kMaxSeed, &error));
-  const SmiConfig smi = smi_from(options, &error);
-  if (!error.empty()) return fail(err, error);
+  const auto req = parse_experiment_flags(serve::ExperimentKind::kUnixbench,
+                                          options, &error);
+  if (!req) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
 
+  UnixBenchOptions ub;
+  ub.online_cpus = req->unixbench_cpus;
+  ub.seed = req->seed;
   const UnixBenchResult clean = run_unixbench(ub);
-  ub.smi = smi;
+  ub.smi = req->smi_config();
   const UnixBenchResult noisy = run_unixbench(ub);
   out << "UnixBench, " << ub.online_cpus << " logical CPU(s)\n";
   for (int i = 0; i < kUbTestCount; ++i) {
@@ -260,7 +264,7 @@ int cmd_detect(const Options& options, std::ostream& out, std::ostream& err) {
       milliseconds(options.get_int("window-ms", 500, 1, kMaxGapMs, &error));
   config.period =
       milliseconds(options.get_int("period-ms", 1000, 1, kMaxGapMs, &error));
-  const SmiConfig smi = smi_from(options, &error);
+  const SmiConfig smi = smi_from(options, SmiKind::kLong, &error);
   (void)options.get("trace", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
@@ -389,10 +393,7 @@ int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
       options.get_int("seed", 1, 0, kMaxSeed, &error));
   const double hang_timeout_s =
       options.get_double("hang-timeout-s", 10.0, &error);
-  const std::string smi_kind = options.get("smi", "none");
-  const auto gap = options.get_int(
-      "gap-ms", options.get_int("interval-ms", 1000, 1, kMaxGapMs, &error), 1,
-      kMaxGapMs, &error);
+  const SmiConfig smi = smi_from(options, SmiKind::kNone, &error);
 
   FaultPlan plan;
   if (const std::string s = options.get("freeze", ""); !s.empty()) {
@@ -440,11 +441,7 @@ int cmd_faults(const Options& options, std::ostream& out, std::ostream& err) {
   cfg.node_count = nodes;
   cfg.seed = seed;
   cfg.hang_timeout = seconds_d(hang_timeout_s);
-  if (smi_kind == "short") cfg.smi = SmiConfig::short_with_gap(gap);
-  else if (smi_kind == "long") cfg.smi = SmiConfig::long_with_gap(gap);
-  else if (smi_kind != "none") {
-    return fail(err, "unknown --smi kind '" + smi_kind + "' (none|short|long)");
-  }
+  cfg.smi = smi;
   System sys{cfg};
   const FaultInjector injector{sys, plan};
 
@@ -494,7 +491,7 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
       options.get_double("cache-mb", 64.0, &error) * 1e6);
   cfg.cache_shards =
       static_cast<int>(options.get_int("cache-shards", 16, 1, 4096, &error));
-  const bool stdin_batch = options.get_bool("stdin-batch", false);
+  const bool stdin_batch = options.get_bool("stdin-batch", false, &error);
   const std::string socket_path = options.get("socket", "@smilab-serve");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
@@ -570,14 +567,14 @@ void print_report(const mc::ExplorationReport& rep, std::ostream& out) {
 int cmd_check(const Options& options, std::ostream& out, std::ostream& err) {
   std::string error;
   const std::string program = options.get("program", "");
-  const bool list = options.get_bool("list", false);
+  const bool list = options.get_bool("list", false, &error);
   const auto max_schedules = options.get_int(
       "max-schedules", static_cast<long long>(mc::kCorpusMaxSchedules), 1,
       std::numeric_limits<long long>::max(), &error);
   const auto max_depth = options.get_int(
       "max-depth", static_cast<long long>(mc::kCorpusMaxDepth), 1,
       std::numeric_limits<long long>::max(), &error);
-  const bool no_prune = options.get_bool("no-prune", false);
+  const bool no_prune = options.get_bool("no-prune", false, &error);
   const std::string replay_token = options.get("replay", "");
   if (!error.empty()) return fail(err, error);
   if (const int rc = check_leftovers(options, err)) return rc;
@@ -661,6 +658,12 @@ int cmd_check(const Options& options, std::ostream& out, std::ostream& err) {
 }
 
 }  // namespace
+
+std::optional<serve::ExperimentRequest> parse_experiment_flags(
+    serve::ExperimentKind kind, const Options& options, std::string* error) {
+  OptionFields in{options};
+  return serve::ExperimentRequest::parse_fields(kind, in, error);
+}
 
 const char* cli_usage() { return kUsage; }
 

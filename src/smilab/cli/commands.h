@@ -16,9 +16,12 @@
 // SimulationError to 3 and prints the diagnosis to the error stream).
 #pragma once
 
+#include <optional>
 #include <ostream>
+#include <string>
 
 #include "smilab/cli/options.h"
+#include "smilab/serve/request.h"
 
 namespace smilab {
 
@@ -29,6 +32,12 @@ int run_cli_command(const Options& options, std::ostream& out,
 /// Top-level entry used by tools/smilab_main.cpp.
 int run_cli(int argc, const char* const* argv, std::ostream& out,
             std::ostream& err);
+
+/// The experiment `kind` (nas, convolve, unixbench) read from its flags
+/// through serve's request schema. nullopt + *error on an invalid value;
+/// leftover flags are the caller's check.
+std::optional<serve::ExperimentRequest> parse_experiment_flags(
+    serve::ExperimentKind kind, const Options& options, std::string* error);
 
 /// The usage text (exposed for tests).
 const char* cli_usage();

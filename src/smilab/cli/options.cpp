@@ -83,11 +83,16 @@ double Options::get_double(const std::string& key, double fallback,
   return value;
 }
 
-bool Options::get_bool(const std::string& key, bool fallback) const {
+bool Options::get_bool(const std::string& key, bool fallback,
+                       std::string* error) const {
   consumed_[key] = true;
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0";
+  if (it->second == "true" || it->second == "1") return true;
+  if (it->second == "false" || it->second == "0") return false;
+  if (error) *error = "flag --" + key + " expects true, false, 1 or 0, got '" +
+                      it->second + "'";
+  return fallback;
 }
 
 std::vector<std::string> Options::unconsumed() const {

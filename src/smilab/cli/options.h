@@ -33,8 +33,10 @@ class Options {
                                   std::string* error) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback,
                                   std::string* error) const;
-  /// A bare `--flag` or `--flag=true/false`.
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  /// A bare `--flag`, `--flag=true|false` or `--flag=1|0`. Any other value
+  /// sets *error (naming the flag) and returns `fallback`.
+  [[nodiscard]] bool get_bool(const std::string& key, bool fallback,
+                              std::string* error) const;
 
   /// Keys the caller never consumed (typo detection).
   [[nodiscard]] std::vector<std::string> unconsumed() const;

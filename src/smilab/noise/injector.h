@@ -38,6 +38,8 @@ class OsNoiseInjector {
   OsNoiseConfig config_;
   std::vector<Rng> node_rng_;
   std::vector<int> next_cpu_;
+  /// held_[node][cpu]: this injector's preemption of the CPU has not ended.
+  std::vector<std::vector<bool>> held_;
   std::int64_t events_ = 0;
 };
 

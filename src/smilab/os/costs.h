@@ -21,13 +21,8 @@ struct OsCosts {
   /// sched_latency on the paper's kernels.
   SimDuration quantum = milliseconds(6);
 
-  /// Tickless kernel (CONFIG_NO_HZ): no periodic timer interrupt when a
-  /// CPU runs a single task. The multithreaded study ran tickless.
-  bool tickless = true;
-
-  /// Per-tick kernel overhead when not tickless (1000 Hz kernels).
-  SimDuration tick_cost = microseconds(2);
-  SimDuration tick_period = milliseconds(1);
+  // The kernel is tickless (CONFIG_NO_HZ), as in the paper's studies: no
+  // periodic timer interrupt charges a CPU that runs a single task.
 };
 
 }  // namespace smilab

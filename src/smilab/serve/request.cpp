@@ -11,7 +11,7 @@ namespace {
 /// Tracks which keys of the request object have been consumed, so the
 /// parser can reject leftovers by name (the serve analogue of the CLI's
 /// check_leftovers).
-class Fields {
+class Fields final : public FieldReader {
  public:
   explicit Fields(const JsonValue& object) : object_(object) {}
 
@@ -25,14 +25,9 @@ class Fields {
     return nullptr;
   }
 
-  /// nullopt + *error on a present-but-invalid value; `fallback` when the
-  /// key is absent (defaults are part of the schema, see file comment in
-  /// request.h).
-  [[nodiscard]] std::optional<std::int64_t> take_int(std::string_view key,
-                                                     std::int64_t fallback,
-                                                     std::int64_t lo,
-                                                     std::int64_t hi,
-                                                     std::string* error) {
+  [[nodiscard]] std::optional<std::int64_t> take_int(
+      std::string_view key, std::int64_t fallback, std::int64_t lo,
+      std::int64_t hi, std::string* error) override {
     const JsonValue* v = take(key);
     if (v == nullptr) return fallback;
     if (const auto n = v->as_int(lo, hi)) return n;
@@ -43,7 +38,7 @@ class Fields {
 
   [[nodiscard]] std::optional<bool> take_bool(std::string_view key,
                                               bool fallback,
-                                              std::string* error) {
+                                              std::string* error) override {
     const JsonValue* v = take(key);
     if (v == nullptr) return fallback;
     if (v->type != JsonValue::Type::kBool) {
@@ -53,9 +48,9 @@ class Fields {
     return v->boolean;
   }
 
-  [[nodiscard]] std::optional<std::string> take_string(std::string_view key,
-                                                       std::string fallback,
-                                                       std::string* error) {
+  [[nodiscard]] std::optional<std::string> take_string(
+      std::string_view key, std::string fallback,
+      std::string* error) override {
     const JsonValue* v = take(key);
     if (v == nullptr) return fallback;
     if (v->type != JsonValue::Type::kString) {
@@ -63,6 +58,10 @@ class Fields {
       return std::nullopt;
     }
     return v->string;
+  }
+
+  [[nodiscard]] std::string label(std::string_view key) const override {
+    return std::string(key);
   }
 
   /// True when every member was consumed; otherwise names the first
@@ -99,7 +98,48 @@ const char* workload_name(NasBenchmark bench) {
   return "?";
 }
 
+/// The `smi` and `gap_ms` fields. False + *error on an invalid value.
+bool take_smi_fields(FieldReader& in, SmiKind fallback, SmiKind* kind,
+                     std::int64_t* gap_ms, std::string* error) {
+  const auto smi = in.take_string("smi", to_string(fallback), error);
+  if (!smi) return false;
+  if (*smi == "none") *kind = SmiKind::kNone;
+  else if (*smi == "short") *kind = SmiKind::kShort;
+  else if (*smi == "long") *kind = SmiKind::kLong;
+  else {
+    *error = "unknown " + in.label("smi") + " kind '" + *smi +
+             "' (none|short|long)";
+    return false;
+  }
+  const auto gap = in.take_int("gap_ms", 1000, 1, 3'600'000, error);
+  if (!gap) return false;
+  *gap_ms = *gap;
+  return true;
+}
+
+SmiConfig smi_config_of(SmiKind kind, std::int64_t gap_ms) {
+  switch (kind) {
+    case SmiKind::kNone:
+      return SmiConfig::none();
+    case SmiKind::kShort:
+      return SmiConfig::short_with_gap(gap_ms);
+    case SmiKind::kLong:
+      return SmiConfig::long_with_gap(gap_ms);
+  }
+  return SmiConfig::none();
+}
+
 }  // namespace
+
+std::optional<SmiConfig> take_smi(FieldReader& in, SmiKind fallback,
+                                  std::string* error) {
+  SmiKind kind = fallback;
+  std::int64_t gap_ms = 0;
+  if (!take_smi_fields(in, fallback, &kind, &gap_ms, error)) {
+    return std::nullopt;
+  }
+  return smi_config_of(kind, gap_ms);
+}
 
 const char* to_string(ExperimentKind kind) {
   switch (kind) {
@@ -126,33 +166,32 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
     return std::nullopt;
   }
   Fields fields{object};
-  ExperimentRequest req;
-
   const auto kind = fields.take_string("experiment", "", error);
   if (!kind) return std::nullopt;
-  if (*kind == "ring") req.kind = ExperimentKind::kRing;
-  else if (*kind == "nas") req.kind = ExperimentKind::kNas;
-  else if (*kind == "convolve") req.kind = ExperimentKind::kConvolve;
-  else if (*kind == "unixbench") req.kind = ExperimentKind::kUnixbench;
+  ExperimentKind k;
+  if (*kind == "ring") k = ExperimentKind::kRing;
+  else if (*kind == "nas") k = ExperimentKind::kNas;
+  else if (*kind == "convolve") k = ExperimentKind::kConvolve;
+  else if (*kind == "unixbench") k = ExperimentKind::kUnixbench;
   else {
     *error = kind->empty()
                  ? "missing 'experiment' (ring|nas|convolve|unixbench)"
                  : "unknown experiment '" + *kind + "'";
     return std::nullopt;
   }
+  auto req = parse_fields(k, fields, error);
+  if (!req || !fields.check_all_used(error)) return std::nullopt;
+  return req;
+}
 
-  const auto smi = fields.take_string("smi", "long", error);
-  if (!smi) return std::nullopt;
-  if (*smi == "none") req.smi = SmiKind::kNone;
-  else if (*smi == "short") req.smi = SmiKind::kShort;
-  else if (*smi == "long") req.smi = SmiKind::kLong;
-  else {
-    *error = "unknown smi kind '" + *smi + "' (none|short|long)";
+std::optional<ExperimentRequest> ExperimentRequest::parse_fields(
+    ExperimentKind kind, FieldReader& fields, std::string* error) {
+  ExperimentRequest req;
+  req.kind = kind;
+  if (!take_smi_fields(fields, SmiKind::kLong, &req.smi, &req.gap_ms,
+                       error)) {
     return std::nullopt;
   }
-  const auto gap = fields.take_int("gap_ms", 1000, 1, 3'600'000, error);
-  if (!gap) return std::nullopt;
-  req.gap_ms = *gap;
 
   switch (req.kind) {
     case ExperimentKind::kRing: {
@@ -175,7 +214,8 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
       else if (*workload == "bt") req.nas.bench = NasBenchmark::kBT;
       else if (*workload == "ft") req.nas.bench = NasBenchmark::kFT;
       else {
-        *error = "unknown workload '" + *workload + "' (ep|bt|ft)";
+        *error = "unknown " + fields.label("workload") + " '" + *workload +
+                 "' (ep|bt|ft)";
         return std::nullopt;
       }
       const auto cls = fields.take_string("class", "A", error);
@@ -184,7 +224,8 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
       else if (*cls == "B") req.nas.cls = NasClass::kB;
       else if (*cls == "C") req.nas.cls = NasClass::kC;
       else {
-        *error = "unknown class '" + *cls + "' (A|B|C)";
+        *error = "unknown " + fields.label("class") + " '" + *cls +
+                 "' (A|B|C)";
         return std::nullopt;
       }
       const auto seed = fields.take_int("seed", 2016, 0, INT64_MAX, error);
@@ -214,7 +255,7 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
       if (*c == "cf") req.convolve_cache_friendly = true;
       else if (*c == "cu") req.convolve_cache_friendly = false;
       else {
-        *error = "unknown case '" + *c + "' (cf|cu)";
+        *error = "unknown " + fields.label("case") + " '" + *c + "' (cf|cu)";
         return std::nullopt;
       }
       req.seed = static_cast<std::uint64_t>(*seed);
@@ -231,7 +272,6 @@ std::optional<ExperimentRequest> ExperimentRequest::parse(
     }
   }
 
-  if (!fields.check_all_used(error)) return std::nullopt;
   return req;
 }
 
@@ -308,15 +348,7 @@ std::string ExperimentRequest::canonical_json() const {
 }
 
 SmiConfig ExperimentRequest::smi_config() const {
-  switch (smi) {
-    case SmiKind::kNone:
-      return SmiConfig::none();
-    case SmiKind::kShort:
-      return SmiConfig::short_with_gap(gap_ms);
-    case SmiKind::kLong:
-      return SmiConfig::long_with_gap(gap_ms);
-  }
-  return SmiConfig::none();
+  return smi_config_of(smi, gap_ms);
 }
 
 std::optional<RequestLine> parse_request_line(std::string_view line,

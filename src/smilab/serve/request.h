@@ -3,8 +3,11 @@
 // A request line is one JSON object naming an experiment kind plus its
 // parameters, e.g.
 //   {"experiment":"nas","workload":"ft","class":"A","nodes":4,"smi":"long"}
-// Parsing applies the same defaults the CLI uses and REJECTS unknown keys,
-// so the parsed struct — not the wire bytes — is the identity of a request:
+// This is the one definition of every experiment: `smilab nas|convolve|
+// unixbench` read their flags through the same parse_fields, so field
+// names, defaults, bounds and spellings cannot drift between the CLI and
+// serve. Parsing REJECTS unknown keys, so the parsed struct — not the
+// wire bytes — is the identity of a request:
 // two lines that differ only in key order, whitespace, or spelling out a
 // default parse to equal structs.
 //
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "smilab/apps/nas/nas.h"
 #include "smilab/serve/wire.h"
@@ -28,6 +32,31 @@
 namespace smilab::serve {
 
 enum class ExperimentKind { kRing, kNas, kConvolve, kUnixbench };
+
+/// Typed access to one front end's fields, in the schema's names
+/// (`ranks_per_node`). Each take_* returns `fallback` when the field is
+/// absent and nullopt with *error set, in the front end's own wording, when
+/// it is present but invalid.
+class FieldReader {
+ public:
+  virtual ~FieldReader() = default;
+  [[nodiscard]] virtual std::optional<std::int64_t> take_int(
+      std::string_view key, std::int64_t fallback, std::int64_t lo,
+      std::int64_t hi, std::string* error) = 0;
+  [[nodiscard]] virtual std::optional<bool> take_bool(std::string_view key,
+                                                      bool fallback,
+                                                      std::string* error) = 0;
+  [[nodiscard]] virtual std::optional<std::string> take_string(
+      std::string_view key, std::string fallback, std::string* error) = 0;
+  /// How an error message names the field: `workload` or `--workload`.
+  [[nodiscard]] virtual std::string label(std::string_view key) const = 0;
+};
+
+/// The SMI regime every experiment shares: `smi` (none|short|long, default
+/// `fallback`) and `gap_ms`. nullopt + *error on an invalid value.
+[[nodiscard]] std::optional<SmiConfig> take_smi(FieldReader& in,
+                                                SmiKind fallback,
+                                                std::string* error);
 
 [[nodiscard]] const char* to_string(ExperimentKind kind);
 
@@ -62,6 +91,11 @@ struct ExperimentRequest {
   /// consumed into the struct or rejected, never silently ignored.
   [[nodiscard]] static std::optional<ExperimentRequest> parse(
       const JsonValue& object, std::string* error);
+
+  /// The schema proper: every field of `kind`, read through `in`. The
+  /// caller checks for leftover fields.
+  [[nodiscard]] static std::optional<ExperimentRequest> parse_fields(
+      ExperimentKind kind, FieldReader& in, std::string* error);
 
   /// Content address: FNV-1a over the kind tag and the kind's live fields.
   [[nodiscard]] std::uint64_t canonical_key() const;

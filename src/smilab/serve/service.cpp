@@ -71,13 +71,10 @@ std::string run_ring(const ExperimentRequest& req) {
 /// One NAS table cell: `trials` paired (no-SMI, requested-regime) runs on
 /// shared per-trial seeds.
 std::string run_nas(const ExperimentRequest& req) {
-  const NasKnob knob = calibrate_nas_knob(req.nas);
-  OnlineStats base, noisy;
-  for (int t = 0; t < req.nas_trials; ++t) {
-    const std::uint64_t seed = req.seed + static_cast<std::uint64_t>(t);
-    base.add(simulate_nas_once(req.nas, knob, SmiConfig::none(), seed, 0.003));
-    noisy.add(simulate_nas_once(req.nas, knob, req.smi_config(), seed, 0.003));
-  }
+  const NasPairResult pair =
+      run_nas_pair(req.nas, req.smi_config(), req.seed, req.nas_trials, 1);
+  const OnlineStats& base = pair.base;
+  const OnlineStats& noisy = pair.noisy;
   const double work = nas_work_units(req.nas.bench, req.nas.cls);
   JsonWriter w;
   w.begin_object();

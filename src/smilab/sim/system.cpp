@@ -281,13 +281,9 @@ bool System::sibling_busy(const TaskImpl& t) const {
 }
 
 double System::current_rate(const TaskImpl& t) const {
-  double rate = node_speed_[static_cast<std::size_t>(t.node)] *
-                fault_rate_[static_cast<std::size_t>(t.node)] *
-                execution_rate(t.profile, sibling_busy(t));
-  if (!cfg_.os.tickless) {
-    rate *= 1.0 - cfg_.os.tick_cost / cfg_.os.tick_period;
-  }
-  return rate;
+  return node_speed_[static_cast<std::size_t>(t.node)] *
+         fault_rate_[static_cast<std::size_t>(t.node)] *
+         execution_rate(t.profile, sibling_busy(t));
 }
 
 void System::settle(TaskImpl& t) {

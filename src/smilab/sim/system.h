@@ -37,7 +37,6 @@
 #include "smilab/smm/smi_config.h"
 #include "smilab/time/rng.h"
 #include "smilab/time/tsc.h"
-#include "smilab/trace/action_ring.h"
 
 namespace smilab {
 
@@ -314,13 +313,6 @@ class System {
     return peak_program_actions_;
   }
 
-  /// Keep a bounded window of completed actions for trace rendering
-  /// (trace/action_ring.h). Capacity 0 (default) disables recording.
-  void set_action_ring_capacity(std::size_t capacity) {
-    action_ring_.set_capacity(capacity);
-  }
-  [[nodiscard]] const ActionRing& action_ring() const { return action_ring_; }
-
   // --- Diagnostics ----------------------------------------------------------------
 
   /// Total bytes that crossed node boundaries.
@@ -492,7 +484,6 @@ class System {
   std::int64_t peak_in_flight_messages_ = 0;
   std::int64_t program_actions_ = 0;  ///< sum of materialized_actions()
   std::int64_t peak_program_actions_ = 0;
-  ActionRing action_ring_;
   SimTime last_progress_ = SimTime::zero();
 
   std::unique_ptr<SmiController> smi_;

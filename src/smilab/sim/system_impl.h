@@ -105,10 +105,6 @@ struct alignas(64) System::TaskImpl {
   bool ack_arrived = false;
   bool waiting_all = false;  // parked in WaitAll
   bool maturing_acks = false;  ///< re-entrancy guard: a wake may step us
-  // Current action's Action index for the completed-action ring (only
-  // maintained when the ring is enabled; -1 = none); its start time sits
-  // in the cold tail.
-  std::int8_t action_kind = -1;
   WaitPolicy wait_policy = WaitPolicy::kSpin;
   int phase = 0;
   int wait_src = kAnySource;
@@ -190,7 +186,6 @@ struct alignas(64) System::TaskImpl {
   std::uint64_t pending_ack_seq = 0;
   EventId ack_wake_ev{};
   SimTime ack_wake_due;
-  SimTime action_start;
   std::string name;
 
   // Layout pins, checked here because a member function body sees the
@@ -198,7 +193,7 @@ struct alignas(64) System::TaskImpl {
   // settle, current_rate, start_work, reschedule_completion, step_action,
   // start_next_action and inject_message) end at byte 328, ahead of every
   // message-path and cold field, and the struct stays within eight cache
-  // lines: its 472 bytes of fields round up to 512 under alignas(64).
+  // lines: its fields round up to 512 bytes under alignas(64).
   // offsetof on this non-standard-layout type is conditionally supported;
   // GCC and Clang compute it for any class without virtual bases.
 #pragma GCC diagnostic push

@@ -10,10 +10,6 @@ constexpr std::int64_t kAckBytes = 64;
 
 void System::start_next_action(TaskImpl& t) {
   note_progress();  // an action retired: the hang watchdog re-arms
-  if (action_ring_.enabled() && t.action_kind >= 0) {
-    action_ring_.record({t.id.value, t.action_kind, t.action_start, now()});
-    t.action_kind = -1;
-  }
   while (true) {
     std::optional<Action> a = t.source->next();
     // Streaming sources change their materialized footprint on refill;
@@ -33,10 +29,6 @@ void System::start_next_action(TaskImpl& t) {
     if (auto* call = std::get_if<Call>(&*a)) {
       call->fn();
       continue;  // zero-time action; keep pulling
-    }
-    if (action_ring_.enabled()) {
-      t.action_kind = static_cast<std::int8_t>(a->index());
-      t.action_start = now();
     }
     t.action = std::move(a);
     t.phase = 0;

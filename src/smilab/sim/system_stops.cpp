@@ -234,7 +234,6 @@ void System::kill_task(TaskImpl& t) {
   t.work_left = SimDuration::zero();
   t.pending_overhead = SimDuration::zero();
   t.action.reset();
-  t.action_kind = -1;
   program_actions_ -= t.materialized;
   t.materialized = 0;
   t.waiting_msg = t.waiting_ack = t.waiting_all = false;

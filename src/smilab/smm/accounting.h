@@ -6,7 +6,6 @@
 // be quantified exactly.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -26,22 +25,16 @@ struct SmmInterval {
 
 /// Per-node and global SMM residency bookkeeping.
 ///
-/// By default every interval is retained (the historical behaviour; the
-/// trace renderers and the driver characterization read the full list). For
-/// memory-bounded runs, set_ring_capacity keeps only the most recent
-/// intervals as a diagnostic window while all aggregate queries — counts,
+/// Every interval is retained (the trace renderers and the driver
+/// characterization read the full list); the aggregate queries — counts,
 /// residency, duration stats, BIOSBITS violations, the latency histogram —
-/// stay exact: they accumulate online in record(), not from the list.
+/// accumulate online in record().
 class SmmAccounting {
  public:
   explicit SmmAccounting(int node_count)
       : per_node_count_(static_cast<std::size_t>(node_count), 0),
         per_node_residency_(static_cast<std::size_t>(node_count),
                             SimDuration::zero()) {}
-
-  /// Keep at most `capacity` recent intervals (0 = retain everything,
-  /// the default). Aggregates stay exact either way.
-  void set_ring_capacity(std::size_t capacity) { ring_capacity_ = capacity; }
 
   void record(const SmmInterval& interval) {
     total_ += 1;
@@ -52,11 +45,6 @@ class SmmAccounting {
     biosbits_count_ += interval.duration() > kBiosbitsThreshold ? 1 : 0;
     hist_ms_.add(interval.duration().seconds() * 1e3);
     intervals_.push_back(interval);
-    if (ring_capacity_ > 0 && intervals_.size() > ring_capacity_) {
-      // SMI rates are ~1/s per node, so the occasional O(capacity) shift
-      // is noise next to the simulation work between SMIs.
-      intervals_.erase(intervals_.begin());
-    }
   }
 
   /// MSR_SMI_COUNT equivalent for one node.
@@ -67,8 +55,7 @@ class SmmAccounting {
     return per_node_residency_.at(static_cast<std::size_t>(node));
   }
   [[nodiscard]] std::int64_t total_smi_count() const { return total_; }
-  /// Retained intervals: everything ever recorded in the default mode, the
-  /// most recent ring_capacity in bounded mode (a trace window).
+  /// Every interval recorded so far.
   [[nodiscard]] const std::vector<SmmInterval>& intervals() const {
     return intervals_;
   }
@@ -78,26 +65,13 @@ class SmmAccounting {
 
   /// BIOSBITS warns when any single SMM interval exceeds 150 us [15].
   /// Returns the number of violating intervals.
-  [[nodiscard]] std::int64_t biosbits_violations(
-      SimDuration threshold = kBiosbitsThreshold) const {
-    if (threshold == kBiosbitsThreshold) return biosbits_count_;
-    // Non-default thresholds scan the retained list, which is only the
-    // full history when the ring is unbounded.
-    assert(ring_capacity_ == 0 ||
-           intervals_.size() == static_cast<std::size_t>(total_));
-    std::int64_t n = 0;
-    for (const auto& iv : intervals_) n += iv.duration() > threshold ? 1 : 0;
-    return n;
+  [[nodiscard]] std::int64_t biosbits_violations() const {
+    return biosbits_count_;
   }
 
   /// Latency histogram in milliseconds (for the driver characterization).
-  [[nodiscard]] Histogram duration_histogram_ms(double hi_ms = kHistHiMs) const {
-    if (hi_ms == kHistHiMs) return hist_ms_;
-    assert(ring_capacity_ == 0 ||
-           intervals_.size() == static_cast<std::size_t>(total_));
-    Histogram h{0.0, hi_ms, 120};
-    for (const auto& iv : intervals_) h.add(iv.duration().seconds() * 1e3);
-    return h;
+  [[nodiscard]] const Histogram& duration_histogram_ms() const {
+    return hist_ms_;
   }
 
   static constexpr SimDuration kBiosbitsThreshold = microseconds(150);
@@ -105,7 +79,6 @@ class SmmAccounting {
 
  private:
   std::vector<SmmInterval> intervals_;
-  std::size_t ring_capacity_ = 0;  // 0 = unbounded
   std::int64_t total_ = 0;
   std::int64_t biosbits_count_ = 0;
   std::vector<std::int64_t> per_node_count_;

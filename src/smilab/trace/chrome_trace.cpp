@@ -1,7 +1,6 @@
 #include "smilab/trace/chrome_trace.h"
 
 #include <cstdio>
-#include <iterator>
 
 #include "smilab/sim/system.h"
 
@@ -65,27 +64,6 @@ std::string to_chrome_trace(const System& sys) {
     append_event(out, first, to_string(rec.kind), "fault", rec.node, 0,
                  static_cast<double>(rec.start.ns()) / 1e3,
                  static_cast<double>((end - rec.start).ns()) / 1e3);
-  }
-
-  // Completed-action window (opt-in: System::set_action_ring_capacity).
-  // Each retained record renders as a slice on its task's row, so the
-  // trailing window of per-action history survives even when the programs
-  // themselves streamed through and were never retained.
-  static constexpr const char* kActionNames[] = {
-      "compute", "send", "recv", "sendrecv", "sleep",
-      "call",    "isend", "irecv", "waitall"};
-  const ActionRing& ring = sys.action_ring();
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const CompletedAction& a = ring.at(i);
-    const TaskId id{static_cast<std::int32_t>(a.task)};
-    const char* name =
-        a.kind >= 0 && a.kind < static_cast<int>(std::size(kActionNames))
-            ? kActionNames[a.kind]
-            : "action";
-    append_event(out, first, name, "action", sys.task_node(id),
-                 static_cast<int>(a.task) + 1,
-                 static_cast<double>(a.start.ns()) / 1e3,
-                 static_cast<double>((a.end - a.start).ns()) / 1e3);
   }
 
   out += "\n]}\n";

@@ -10,6 +10,8 @@
 
 #include "smilab/cli/commands.h"
 #include "smilab/cli/options.h"
+#include "smilab/serve/request.h"
+#include "smilab/serve/wire.h"
 
 namespace smilab {
 namespace {
@@ -31,7 +33,7 @@ TEST(OptionsTest, ParsesCommandAndFlags) {
   EXPECT_EQ(options.get("workload", ""), "ft");
   std::string error;
   EXPECT_EQ(options.get_int("nodes", 0, 1, 16, &error), 8);
-  EXPECT_TRUE(options.get_bool("htt", false));
+  EXPECT_TRUE(options.get_bool("htt", false, &error));
   EXPECT_TRUE(error.empty());
 }
 
@@ -41,7 +43,7 @@ TEST(OptionsTest, DefaultsWhenMissing) {
   EXPECT_EQ(options.get("case", "cu"), "cu");
   EXPECT_EQ(options.get_int("cpus", 8, 1, 8, &error), 8);
   EXPECT_DOUBLE_EQ(options.get_double("x", 1.5, &error), 1.5);
-  EXPECT_FALSE(options.get_bool("htt", false));
+  EXPECT_FALSE(options.get_bool("htt", false, &error));
 }
 
 TEST(OptionsTest, RejectsMalformedInput) {
@@ -194,6 +196,86 @@ TEST(CliTest, NasRejectsRetainedFlag) {
 TEST(CliTest, NasRejectsZeroTrials) {
   expect_usage_error({"nas", "--workload=ep", "--nodes=1", "--trials=0"},
                      "--trials must be an integer in [1, ");
+}
+
+// nas takes serve's request bounds, and no longer the --interval-ms alias
+// of --gap-ms; a boolean flag must spell a boolean.
+TEST(CliTest, NasTakesServesBounds) {
+  expect_usage_error({"nas", "--ranks-per-node=5", "--htt"},
+                     "--ranks-per-node must be an integer in [1, 4]");
+  expect_usage_error({"nas", "--nodes=65"},
+                     "--nodes must be an integer in [1, 64]");
+  expect_usage_error({"nas", "--trials=65"},
+                     "--trials must be an integer in [1, 64]");
+  expect_usage_error({"nas", "--interval-ms=500"}, "--interval-ms");
+  expect_usage_error({"nas", "--htt=banana"}, "--htt");
+}
+
+TEST(OptionsTest, BooleanFlagMustSpellABoolean) {
+  const Options options = parse_ok({"nas", "--a", "--b=1", "--c=0", "--d=yes"});
+  std::string error;
+  EXPECT_TRUE(options.get_bool("a", false, &error));
+  EXPECT_TRUE(options.get_bool("b", false, &error));
+  EXPECT_FALSE(options.get_bool("c", true, &error));
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_FALSE(options.get_bool("d", false, &error));
+  EXPECT_NE(error.find("--d"), std::string::npos) << error;
+}
+
+// One schema: the same experiment given as flags and as a serve request
+// parses to the same canonical key and config, at every default and with
+// each field set away from it.
+struct ParityCase {
+  serve::ExperimentKind kind;
+  std::vector<const char*> flags;
+  std::string json;
+};
+
+TEST(CliTest, ExperimentFlagsMatchServeRequests) {
+  using serve::ExperimentKind;
+  const std::vector<ParityCase> cases = {
+      {ExperimentKind::kNas, {"nas"}, R"({"experiment":"nas"})"},
+      {ExperimentKind::kNas,
+       {"nas", "--workload=ft", "--class=B", "--nodes=2",
+        "--ranks-per-node=4", "--htt", "--trials=5", "--seed=9",
+        "--smi=short", "--gap-ms=250"},
+       R"({"experiment":"nas","workload":"ft","class":"B","nodes":2,)"
+       R"("ranks_per_node":4,"htt":true,"trials":5,"seed":9,"smi":"short",)"
+       R"("gap_ms":250})"},
+      {ExperimentKind::kNas, {"nas", "--workload=bt", "--class=C", "--nodes=4",
+                              "--smi=none"},
+       R"({"experiment":"nas","workload":"bt","class":"C","nodes":4,)"
+       R"("smi":"none"})"},
+      {ExperimentKind::kConvolve, {"convolve"}, R"({"experiment":"convolve"})"},
+      {ExperimentKind::kConvolve,
+       {"convolve", "--case=cf", "--cpus=3", "--seed=4", "--smi=none",
+        "--gap-ms=50"},
+       R"({"experiment":"convolve","case":"cf","cpus":3,"seed":4,)"
+       R"("smi":"none","gap_ms":50})"},
+      {ExperimentKind::kUnixbench, {"unixbench"},
+       R"({"experiment":"unixbench"})"},
+      {ExperimentKind::kUnixbench,
+       {"unixbench", "--cpus=5", "--seed=0", "--smi=short", "--gap-ms=600"},
+       R"({"experiment":"unixbench","cpus":5,"seed":0,"smi":"short",)"
+       R"("gap_ms":600})"},
+  };
+  for (const ParityCase& c : cases) {
+    std::vector<const char*> argv{"smilab"};
+    argv.insert(argv.end(), c.flags.begin(), c.flags.end());
+    std::string error;
+    const auto options =
+        Options::parse(static_cast<int>(argv.size()), argv.data(), &error);
+    ASSERT_TRUE(options.has_value()) << error;
+    const auto cli = parse_experiment_flags(c.kind, *options, &error);
+    ASSERT_TRUE(cli.has_value()) << c.json << ": " << error;
+    EXPECT_TRUE(options->unconsumed().empty()) << c.json;
+    const auto doc = serve::parse_json(c.json, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const auto json = serve::ExperimentRequest::parse(*doc, &error);
+    ASSERT_TRUE(json.has_value()) << c.json << ": " << error;
+    EXPECT_EQ(cli->canonical_key(), json->canonical_key()) << c.json;
+    EXPECT_EQ(cli->canonical_json(), json->canonical_json()) << c.json;
+  }
 }
 
 TEST(CliTest, NasRejectsInvalidRankCount) {

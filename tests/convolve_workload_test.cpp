@@ -107,7 +107,6 @@ SimTime replica_finish(const ConvolveWorkload& workload, int cpus,
   SystemConfig cfg;
   cfg.machine = MachineSpec::poweredge_r410_e5620();
   cfg.node_count = 1;
-  cfg.os.tickless = true;
   cfg.seed = seed;
   System sys{cfg};
   sys.set_online_cpus(cpus);

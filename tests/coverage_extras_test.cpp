@@ -78,9 +78,10 @@ TEST(OptionsTest, ExplicitFalseBoolean) {
   std::string error;
   const auto options = Options::parse(4, argv, &error);
   ASSERT_TRUE(options.has_value());
-  EXPECT_FALSE(options->get_bool("htt", true));
-  EXPECT_FALSE(options->get_bool("flag", true));
-  EXPECT_TRUE(options->get_bool("absent", true));
+  EXPECT_FALSE(options->get_bool("htt", true, &error));
+  EXPECT_FALSE(options->get_bool("flag", true, &error));
+  EXPECT_TRUE(options->get_bool("absent", true, &error));
+  EXPECT_TRUE(error.empty()) << error;
 }
 
 TEST(AsciiChartTest, YFromDataWhenNotZeroBased) {

@@ -273,6 +273,22 @@ TEST(FaultInjectorTest, NoiseEventInsideFreezeIsSkipped) {
   expect_outcome(sys.task_stats(id), {750'000'000, 500'000'000, 0, 0, 0});
 }
 
+TEST(FaultInjectorTest, NoiseSkipsACpuItStillHolds) {
+  // 150 ms of noise every 100 ms from 100 ms: each event at an odd multiple
+  // of 100 ms falls inside the previous preemption and is skipped, so the
+  // task runs 50 ms in every 200 ms. Its last 50 ms end at 1.7 s, the
+  // instant of the next preemption, which was scheduled first and so takes
+  // the CPU until 1.85 s. (Preempting the held CPU again ended at 0.85 s,
+  // crediting the preempted time as work.)
+  System sys{base_config(1)};
+  OsNoiseConfig noise = noise_on_cpu0(milliseconds(100), milliseconds(150));
+  noise.interval = milliseconds(100);
+  const OsNoiseInjector injector{sys, noise};
+  const TaskId id = spawn_on_cpu0(sys, {Compute{milliseconds(500)}});
+  sys.run();
+  expect_outcome(sys.task_stats(id), {1'850'000'000, 500'000'000, 0, 0, 0});
+}
+
 TEST(FaultInjectorTest, DroppedMessagesAreRetransmitted) {
   SystemConfig cfg = base_config(2);
   System sys{cfg};

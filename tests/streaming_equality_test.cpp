@@ -346,37 +346,6 @@ TEST(RepeatActionsTest, MaterializedFootprintIsOne) {
   EXPECT_FALSE(src.next().has_value());
 }
 
-// --- SmmAccounting bounded ring ---------------------------------------------
-
-TEST(SmmAccountingRingTest, AggregatesStayExactWhenRingIsBounded) {
-  SmmAccounting full{2};
-  SmmAccounting capped{2};
-  capped.set_ring_capacity(8);
-  for (int i = 0; i < 100; ++i) {
-    const SmmInterval iv{i % 2, SimTime{i * 1'000'000},
-                         SimTime{i * 1'000'000 + (i % 7) * 60'000}};
-    full.record(iv);
-    capped.record(iv);
-  }
-  EXPECT_EQ(capped.total_smi_count(), full.total_smi_count());
-  EXPECT_EQ(capped.smi_count(0), full.smi_count(0));
-  EXPECT_EQ(capped.smi_count(1), full.smi_count(1));
-  EXPECT_EQ(capped.residency(0), full.residency(0));
-  EXPECT_EQ(capped.biosbits_violations(), full.biosbits_violations());
-  EXPECT_EQ(capped.duration_stats().count(), full.duration_stats().count());
-  EXPECT_EQ(capped.duration_stats().mean(), full.duration_stats().mean());
-  const Histogram hf = full.duration_histogram_ms();
-  const Histogram hc = capped.duration_histogram_ms();
-  EXPECT_EQ(hc.total(), hf.total());
-  for (std::size_t b = 0; b < hf.bucket_count(); ++b) {
-    EXPECT_EQ(hc.bucket(b), hf.bucket(b)) << "bucket " << b;
-  }
-  // The bounded list keeps exactly the trailing window.
-  ASSERT_EQ(capped.intervals().size(), 8u);
-  EXPECT_EQ(capped.intervals().front().enter, SimTime{92 * 1'000'000});
-  EXPECT_EQ(full.intervals().size(), 100u);
-}
-
 // --- Work queue uniform representation --------------------------------------
 
 TEST(StreamingEqualityTest, UniformWorkQueueMatchesEvenItems) {
@@ -384,7 +353,6 @@ TEST(StreamingEqualityTest, UniformWorkQueueMatchesEvenItems) {
     SystemConfig cfg;
     cfg.machine = MachineSpec::poweredge_r410_e5620();
     cfg.node_count = 1;
-    cfg.os.tickless = true;
     cfg.smi = SmiConfig::long_every_second();
     cfg.seed = 13;
     System sys{cfg};

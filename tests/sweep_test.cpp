@@ -122,6 +122,20 @@ TEST(SweepTest, NasCellBitEqualAcrossJobCounts) {
   EXPECT_EQ(a.smm2.max(), b.smm2.max());
 }
 
+// `smilab nas` and serve's nas experiment share run_nas_pair; its paired
+// trials fold back in trial order at any job count.
+TEST(SweepTest, NasPairBitEqualAcrossJobCounts) {
+  const NasJobSpec spec{NasBenchmark::kFT, NasClass::kA, 4, 1};
+  const SmiConfig smi = SmiConfig::long_every_second();
+  const NasPairResult a = run_nas_pair(spec, smi, 2016, 4, 1);
+  const NasPairResult b = run_nas_pair(spec, smi, 2016, 4, 4);
+  EXPECT_EQ(a.base.count(), 4u);
+  EXPECT_EQ(a.base.mean(), b.base.mean());
+  EXPECT_EQ(a.noisy.mean(), b.noisy.mean());
+  EXPECT_EQ(a.base.stddev(), b.base.stddev());
+  EXPECT_EQ(a.noisy.max(), b.noisy.max());
+}
+
 // A Table-2 sub-grid rendered to text must be byte-identical at any job
 // count — the exact guarantee the bench binaries advertise for --jobs.
 TEST(SweepTest, Table2SubGridBytesIdenticalAcrossJobCounts) {

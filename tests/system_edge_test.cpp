@@ -226,26 +226,6 @@ TEST(SystemEdgeTest, MessageArrivingDuringSmmDrainsAfterExit) {
   EXPECT_LT(stats.end_time.seconds(), 0.20);
 }
 
-TEST(SystemEdgeTest, TickyKernelRunsSlightlySlower) {
-  auto wall_with_tickless = [](bool tickless) {
-    SystemConfig cfg;
-    cfg.machine = MachineSpec::wyeast_e5520();
-    cfg.os.tickless = tickless;
-    cfg.seed = 3;
-    System sys{cfg};
-    std::vector<Action> prog;
-    prog.push_back(Compute{seconds(10)});
-    const TaskId id = sys.spawn(TaskSpec::with_actions("t", 0, std::move(prog)));
-    sys.run();
-    return (sys.task_stats(id).end_time - sys.task_stats(id).start_time).seconds();
-  };
-  const double tickless = wall_with_tickless(true);
-  const double ticky = wall_with_tickless(false);
-  EXPECT_DOUBLE_EQ(tickless, 10.0);
-  EXPECT_GT(ticky, 10.0);
-  EXPECT_LT(ticky, 10.1);  // ~0.2% tick overhead
-}
-
 TEST(SystemEdgeTest, GeneratorTaskRunsUntilExhausted) {
   System sys{one_node()};
   int produced = 0;

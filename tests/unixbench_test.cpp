@@ -171,7 +171,6 @@ SimTime replica_finish(const UbTestSpec& spec, int cpus, int copies,
   SystemConfig cfg;
   cfg.machine = MachineSpec::poweredge_r410_e5620();
   cfg.node_count = 1;
-  cfg.os.tickless = true;
   cfg.smi = smi;
   cfg.seed = seed ^ (static_cast<std::uint64_t>(spec.test) << 32);
   System sys{cfg};
