@@ -25,7 +25,8 @@ struct NasRunOptions {
   int trials = 6;                  ///< the paper averaged six runs
   std::uint64_t seed = 2016;
   /// Worker threads for independent (regime, trial) sims inside a cell
-  /// (and for whole cells in the table builders). 1 = historical serial
+  /// (and for whole cells in the table builders, whose cells' sweeps then
+  /// borrow the grid's threads). 1 = historical serial
   /// path; <=0 = hardware concurrency. Results are byte-identical at any
   /// value: every sim derives from (spec, knob, smi, seed) alone and is
   /// collected in grid order (core/sweep.h).

@@ -2,10 +2,13 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "smilab/core/single_flight.h"
+#include "smilab/core/sweep.h"
 #include "smilab/sim/system.h"
 
 namespace smilab {
@@ -108,14 +111,19 @@ double run_one_test(const UbTestSpec& spec, const UnixBenchOptions& options,
   return per_copy_ops * copies / elapsed;
 }
 
-/// The five tests in order, folded into per-test rates, scores and the
-/// index.
+/// The five tests, each an independent System, swept over options.jobs and
+/// folded in test order into per-test rates, scores and the index.
 UnixBenchResult run_suite(const UnixBenchOptions& options, int copies) {
+  const std::vector<double> rates =
+      ExperimentSweep{options.jobs}.map<double>(kUbTestCount, [&](int i) {
+        return run_one_test(ub_test_specs()[static_cast<std::size_t>(i)],
+                            options, copies);
+      });
   UnixBenchResult result;
   double log_sum = 0.0;
   for (int i = 0; i < kUbTestCount; ++i) {
     const UbTestSpec& spec = ub_test_specs()[static_cast<std::size_t>(i)];
-    const double rate = run_one_test(spec, options, copies);
+    const double rate = rates[static_cast<std::size_t>(i)];
     result.ops_per_s[static_cast<std::size_t>(i)] = rate;
     const double score = rate / spec.baseline_ops_per_s * 10.0;
     result.score[static_cast<std::size_t>(i)] = score;
@@ -147,7 +155,13 @@ BaselineMemo& baselines() {
 }  // namespace
 
 UnixBenchResult run_unixbench(const UnixBenchOptions& options) {
-  assert(options.online_cpus >= 1 && options.online_cpus <= 8);
+  // With no CPU online no copy runs and the rate divides by a zero finish
+  // time; past 8, copies would time-share the E5620's eight CPUs.
+  if (options.online_cpus < 1 || options.online_cpus > 8) {
+    throw std::invalid_argument(
+        "UnixBenchOptions::online_cpus must be in [1, 8], got " +
+        std::to_string(options.online_cpus));
+  }
   const int copies =
       options.copies > 0 ? options.copies : options.online_cpus;
   if (options.smi.enabled()) return run_suite(options, copies);

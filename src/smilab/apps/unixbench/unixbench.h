@@ -57,6 +57,10 @@ struct UnixBenchOptions {
   /// Reaches the result only when SMIs fire: an SMI-free suite is the same
   /// for every seed.
   std::uint64_t seed = 1;
+  /// Threads for the five independent tests (core/sweep.h): 1 runs them in
+  /// order on the calling thread, <=0 means hardware concurrency. The
+  /// result is bit-identical at any value.
+  int jobs = 1;
 };
 
 struct UnixBenchResult {
@@ -68,7 +72,8 @@ struct UnixBenchResult {
 /// Run the five-test suite on an E5620 node and compute the index. An
 /// SMI-free suite is computed once per process for each (online CPUs,
 /// copies, per-test duration) and shared by every later caller, whatever
-/// its seed; concurrent first callers wait for a single computation.
+/// its seed and jobs; concurrent first callers wait for a single
+/// computation. Throws std::invalid_argument unless online_cpus is 1-8.
 UnixBenchResult run_unixbench(const UnixBenchOptions& options);
 
 /// SMI-free suites run_unixbench has computed in this process (first

@@ -10,7 +10,10 @@ namespace smilab {
 // reported cells fans across the sweep pool (options.jobs; cells are
 // independent once calibrated), results come back indexed by grid position,
 // and the serial formatting pass below reads them in the original row
-// order — so the rendered table is byte-identical at any job count.
+// order — so the rendered table is byte-identical at any job count. Each
+// cell sweeps its own 3 x trials runs at the same jobs; those nested sweeps
+// borrow the grid's pool, so a long cell's runs spread over the grid's
+// threads as they free up (core/sweep.h).
 
 Table build_nas_table(NasBenchmark bench, const std::vector<int>& node_rows,
                       int ranks_per_node, const NasRunOptions& options) {
@@ -37,13 +40,11 @@ Table build_nas_table(NasBenchmark bench, const std::vector<int>& node_rows,
     }
   }
 
-  NasRunOptions cell_options = options;
-  cell_options.jobs = 1;  // the cell grid is the parallel axis
   const ExperimentSweep sweep{options.jobs};
   const std::vector<NasCellResult> cells = sweep.map<NasCellResult>(
       static_cast<int>(reported.size()),
       [&](int i) { return run_nas_cell(reported[static_cast<std::size_t>(i)],
-                                       cell_options); });
+                                       options); });
 
   Table table{{"class", "nodes", "ranks", "SMM0", "SMM1", "d1", "%1", "SMM2",
                "d2", "%2", "paper %1", "paper %2"}};
@@ -90,8 +91,6 @@ Table build_htt_table(NasBenchmark bench, const NasRunOptions& options) {
     NasCellResult off;
     NasCellResult on;
   };
-  NasRunOptions cell_options = options;
-  cell_options.jobs = 1;
   const ExperimentSweep sweep{options.jobs};
   const std::vector<RowResult> results = sweep.map<RowResult>(
       static_cast<int>(rows.size()), [&](int i) {
@@ -99,8 +98,8 @@ Table build_htt_table(NasBenchmark bench, const NasRunOptions& options) {
         // off first: both variants share one calibration (HTT does not
         // change the no-SMI runtime), matching the serial memo order.
         RowResult r;
-        r.off = run_nas_cell(row.off, cell_options);
-        r.on = run_nas_cell(row.on, cell_options);
+        r.off = run_nas_cell(row.off, options);
+        r.on = run_nas_cell(row.on, options);
         return r;
       });
 

@@ -70,9 +70,9 @@ std::string run_ring(const ExperimentRequest& req) {
 
 /// One NAS table cell: `trials` paired (no-SMI, requested-regime) runs on
 /// shared per-trial seeds.
-std::string run_nas(const ExperimentRequest& req) {
+std::string run_nas(const ExperimentRequest& req, int jobs) {
   const NasPairResult pair =
-      run_nas_pair(req.nas, req.smi_config(), req.seed, req.nas_trials, 1);
+      run_nas_pair(req.nas, req.smi_config(), req.seed, req.nas_trials, jobs);
   const OnlineStats& base = pair.base;
   const OnlineStats& noisy = pair.noisy;
   const double work = nas_work_units(req.nas.bench, req.nas.cls);
@@ -108,10 +108,11 @@ std::string run_convolve(const ExperimentRequest& req) {
   return w.take();
 }
 
-std::string run_unixbench_req(const ExperimentRequest& req) {
+std::string run_unixbench_req(const ExperimentRequest& req, int jobs) {
   UnixBenchOptions ub;
   ub.online_cpus = req.unixbench_cpus;
   ub.seed = req.seed;
+  ub.jobs = jobs;
   const UnixBenchResult clean = run_unixbench(ub);
   ub.smi = req.smi_config();
   const UnixBenchResult noisy = run_unixbench(ub);
@@ -132,16 +133,17 @@ std::string run_unixbench_req(const ExperimentRequest& req) {
 
 }  // namespace
 
-std::string run_experiment_payload(const ExperimentRequest& request) {
+std::string run_experiment_payload(const ExperimentRequest& request,
+                                   int jobs) {
   switch (request.kind) {
     case ExperimentKind::kRing:
       return run_ring(request);
     case ExperimentKind::kNas:
-      return run_nas(request);
+      return run_nas(request, jobs);
     case ExperimentKind::kConvolve:
       return run_convolve(request);
     case ExperimentKind::kUnixbench:
-      return run_unixbench_req(request);
+      return run_unixbench_req(request, jobs);
   }
   return "{}";
 }
@@ -219,11 +221,13 @@ SweepService::Served SweepService::serve(const ExperimentRequest& request) {
       im.inflight.emplace(out.key, flight);
       leader = true;
       im.simulations.fetch_add(1, std::memory_order_relaxed);
+      // The job's sweep borrows the pool's idle workers (core/sweep.h).
       im.pool.submit([&im, request, key = out.key,
                       promise = std::move(promise)] {
         Outcome result;
         try {
-          result.payload = im.cache.insert(key, run_experiment_payload(request));
+          result.payload = im.cache.insert(
+              key, run_experiment_payload(request, im.pool.workers()));
         } catch (const std::exception& e) {
           result.error = e.what();
         }

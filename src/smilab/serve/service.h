@@ -18,7 +18,10 @@
 //
 // Persistent workers: simulation jobs run on a SweepPool (core/sweep.h)
 // whose threads outlive requests. Each job builds its own System, so no
-// simulation state carries from one request to the next.
+// simulation state carries from one request to the next. A job's
+// independent simulations (NAS trials, UnixBench tests) sweep over the
+// pool's idle workers, so `workers` sets both how many misses run at once
+// and how far one miss fans out.
 //
 // Determinism: nothing in serve/ reads wall-clock time or
 // non-deterministic RNG (smilint D1/D2 apply to this directory).
@@ -102,11 +105,14 @@ class SweepService {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Compute one experiment synchronously on the calling thread (no cache,
-/// no pool) and render its canonical payload JSON. The single source of
-/// truth for payload bytes: the service's miss path calls exactly this.
+/// Compute one experiment (no cache) and render its canonical payload JSON.
+/// The single source of truth for payload bytes: the service's miss path
+/// calls exactly this. `jobs` sweeps the experiment's independent
+/// simulations (NAS trials, UnixBench tests) as core/sweep.h does: 1 runs
+/// them all on the calling thread, and on a SweepPool worker the sweep
+/// borrows that pool. The bytes are the same at any value.
 /// Throws SimulationError if the simulation faults.
 [[nodiscard]] std::string run_experiment_payload(
-    const ExperimentRequest& request);
+    const ExperimentRequest& request, int jobs = 1);
 
 }  // namespace smilab::serve

@@ -582,6 +582,70 @@ TEST(ServeService, StatsReportPeakRss) {
   EXPECT_TRUE(peak->as_int(before, INT64_MAX).has_value()) << peak->number;
 }
 
+// --- A miss fans out over the pool's idle workers ----------------------------
+
+// A miss sweeps its independent simulations over the service's workers
+// (run_experiment_payload(request, workers)); every cell is a pure function
+// of its index and lands at that index, so no worker count moves a byte.
+TEST(ServeFanOut, PayloadsIdenticalAtAnyWorkerCount) {
+  std::vector<ExperimentRequest> requests;
+  for (const int cpus : {5, 6, 7, 8}) {
+    for (const char* smi : {"long", "short"}) {
+      requests.push_back(parse_ok(
+          R"({"experiment":"unixbench","cpus":)" + std::to_string(cpus) +
+          R"(,"smi":")" + smi + R"(","gap_ms":600,"seed":31})"));
+    }
+  }
+  requests.push_back(parse_ok(
+      R"({"experiment":"nas","workload":"ft","class":"A","nodes":2,)"
+      R"("trials":3,"smi":"long","seed":7})"));
+  std::vector<std::string> serial;
+  for (const ExperimentRequest& req : requests) {
+    serial.push_back(run_experiment_payload(req));
+  }
+
+  for (const int workers : {1, 2, 4}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    SweepService service{cfg};
+    // Two clients, so misses fan out both over idle workers and behind
+    // another client's miss.
+    std::vector<std::string> served(requests.size());
+    std::vector<std::string> errors(requests.size());
+    std::vector<std::thread> clients;
+    for (std::size_t first = 0; first < 2; ++first) {
+      clients.emplace_back([&, first] {
+        for (std::size_t i = first; i < requests.size(); i += 2) {
+          const auto out = service.serve(requests[i]);
+          if (out.ok) served[i] = *out.payload;
+          errors[i] = out.error;
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(served[i], serial[i])
+          << workers << " workers, " << requests[i].canonical_json() << " "
+          << errors[i];
+    }
+  }
+}
+
+TEST(ServeFanOut, UnixbenchIdenticalAtAnyJobCount) {
+  UnixBenchOptions options;
+  options.online_cpus = 6;
+  options.smi = SmiConfig::long_every_second();
+  options.seed = 17;
+  const UnixBenchResult serial = run_unixbench(options);
+  for (const int jobs : {2, 5}) {
+    options.jobs = jobs;
+    const UnixBenchResult swept = run_unixbench(options);
+    EXPECT_EQ(swept.ops_per_s, serial.ops_per_s) << jobs << " jobs";
+    EXPECT_EQ(swept.score, serial.score) << jobs << " jobs";
+    EXPECT_EQ(swept.index, serial.index) << jobs << " jobs";
+  }
+}
+
 // --- Persistent workers ----------------------------------------------------
 
 TEST(ServeWarm, RepeatedServesOnWarmWorkersStayDeterministic) {

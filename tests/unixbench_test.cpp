@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <latch>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +32,26 @@ TEST(UnixBenchTest, SpecsAreComplete) {
     EXPECT_EQ(static_cast<int>(specs[static_cast<std::size_t>(i)].test), i);
     EXPECT_GT(specs[static_cast<std::size_t>(i)].base_ops_per_s, 0);
     EXPECT_GT(specs[static_cast<std::size_t>(i)].baseline_ops_per_s, 0);
+  }
+}
+
+// Zero online CPUs would run no copy and divide by a zero finish time;
+// nine would time-share eight CPUs. Both paths (memoized SMI-free, and with
+// SMIs) refuse, naming the field, in every build type.
+TEST(UnixBenchTest, RejectsOnlineCpusOutsideOneToEight) {
+  for (const bool smis : {false, true}) {
+    for (const int cpus : {-1, 0, 9}) {
+      UnixBenchOptions options = quick_options(1);
+      options.online_cpus = cpus;
+      if (smis) options.smi = SmiConfig::long_every_second();
+      try {
+        (void)run_unixbench(options);
+        ADD_FAILURE() << "online_cpus " << cpus << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("online_cpus"), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 
